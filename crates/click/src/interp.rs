@@ -27,6 +27,23 @@ pub struct Machine {
     step_limit: u64,
     timestamp: u64,
     rng_state: u64,
+    scratch: Scratch,
+}
+
+/// Per-packet working storage, cleared (not freed) between packets so the
+/// steady-state interpreter loop allocates only the trace it returns.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// SSA values by `ValueId` (`None` = not yet defined this packet).
+    env: Vec<Option<u64>>,
+    /// Stack slots by slot number.
+    slots: Vec<u64>,
+    /// A block's phi results, committed after all of them are read.
+    phis: Vec<(ValueId, u64)>,
+    /// Evaluated arguments of the current API call.
+    args: Vec<u64>,
+    /// Event count of the previous packet: the next trace's capacity.
+    events_hint: usize,
 }
 
 pub(crate) fn mask(v: u64, ty: Ty) -> u64 {
@@ -51,6 +68,7 @@ impl Machine {
             step_limit: DEFAULT_STEP_LIMIT,
             timestamp: 0,
             rng_state: RNG_SEED,
+            scratch: Scratch::default(),
         })
     }
 
@@ -84,11 +102,6 @@ impl Machine {
         view: &mut PacketView,
     ) -> Result<(ExecTrace, Option<Verdict>), TraceError> {
         self.timestamp += 1;
-        // Move the state out so the module can stay immutably borrowed
-        // while API calls mutate storage.
-        let mut state = std::mem::take(&mut self.state);
-        let mut timestamp = self.timestamp;
-        let mut rng_state = self.rng_state;
         let func: &Function = self
             .module
             .funcs
@@ -96,21 +109,19 @@ impl Machine {
             .expect("verified module has a handler");
         let result = exec(
             func,
-            &mut state,
+            &mut self.state,
             view,
             self.step_limit,
-            &mut timestamp,
-            &mut rng_state,
+            &mut self.timestamp,
+            &mut self.rng_state,
+            &mut self.scratch,
         );
-        self.state = state;
-        self.timestamp = timestamp;
-        self.rng_state = rng_state;
         result.map(|trace| (trace, view.verdict))
     }
 }
 
-/// Executes `func` against one packet view.
-#[allow(clippy::too_many_lines)]
+/// Executes `func` against one packet view, reusing `scratch`'s buffers.
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn exec(
     func: &Function,
     state: &mut StateStore,
@@ -118,149 +129,164 @@ fn exec(
     step_limit: u64,
     timestamp: &mut u64,
     rng_state: &mut u64,
+    scratch: &mut Scratch,
 ) -> Result<ExecTrace, TraceError> {
-    {
-        let mut env: Vec<Option<u64>> = vec![None; func.next_value as usize];
-        for (p, _) in &func.params {
-            env[p.index()] = Some(0);
+    let Scratch {
+        env,
+        slots,
+        phis,
+        args,
+        events_hint,
+    } = scratch;
+    env.clear();
+    env.resize(func.next_value as usize, None);
+    for (p, _) in &func.params {
+        env[p.index()] = Some(0);
+    }
+    slots.clear();
+    slots.resize(func.next_slot as usize, 0);
+    let mut trace = ExecTrace {
+        events: Vec::with_capacity(*events_hint),
+        ..ExecTrace::default()
+    };
+    let mut cur = BlockId(0);
+    let mut prev: Option<BlockId> = None;
+
+    'blocks: loop {
+        let block = func
+            .blocks
+            .get(cur.index())
+            .ok_or(TraceError::BadBlock { block: cur.0 })?;
+        trace.events.push(Event::Block(cur));
+
+        // Phase 1: evaluate phis atomically against the predecessor.
+        phis.clear();
+        for inst in &block.insts {
+            if let Inst::Phi { dst, ty, incomings } = inst {
+                let from = prev.unwrap_or(BlockId(0));
+                let val = incomings
+                    .iter()
+                    .find(|(bb, _)| *bb == from)
+                    .map(|(_, op)| read_op(env, *op))
+                    .transpose()?
+                    .unwrap_or(0);
+                phis.push((*dst, mask(val, *ty)));
+            }
         }
-        let mut slots: Vec<u64> = vec![0; func.next_slot as usize];
-        let mut trace = ExecTrace::default();
+        for &(dst, v) in phis.iter() {
+            env[dst.index()] = Some(v);
+        }
 
-        let mut cur = BlockId(0);
-        let mut prev: Option<BlockId> = None;
-
-        'blocks: loop {
-            let block = func
-                .blocks
-                .get(cur.index())
-                .ok_or(TraceError::BadBlock { block: cur.0 })?;
-            trace.events.push(Event::Block(cur));
-
-            // Phase 1: evaluate phis atomically against the predecessor.
-            let mut phi_updates: Vec<(ValueId, u64)> = Vec::new();
-            for inst in &block.insts {
-                if let Inst::Phi { dst, ty, incomings } = inst {
-                    let from = prev.unwrap_or(BlockId(0));
-                    let val = incomings
-                        .iter()
-                        .find(|(bb, _)| *bb == from)
-                        .map(|(_, op)| read_op(&env, *op))
-                        .transpose()?
-                        .unwrap_or(0);
-                    phi_updates.push((*dst, mask(val, *ty)));
-                }
-            }
-            for (dst, v) in phi_updates {
-                env[dst.index()] = Some(v);
-            }
-
-            for inst in &block.insts {
-                trace.steps += 1;
-                if trace.steps > step_limit {
-                    return Err(TraceError::StepLimit { limit: step_limit });
-                }
-                match inst {
-                    Inst::Phi { .. } => {} // Handled above.
-                    // ALU semantics (masking, wraparound, the type-width
-                    // shift rule) are defined once in `nf_ir::opt`;
-                    // constant folding and the reference executor use the
-                    // same functions, so the difftest layers cannot drift.
-                    Inst::Bin {
-                        dst,
-                        op,
-                        ty,
-                        lhs,
-                        rhs,
-                    } => {
-                        let a = read_op(&env, *lhs)?;
-                        let b = read_op(&env, *rhs)?;
-                        env[dst.index()] = Some(nf_ir::opt::eval_bin(*op, *ty, a, b));
-                    }
-                    Inst::Icmp {
-                        dst,
-                        pred,
-                        ty,
-                        lhs,
-                        rhs,
-                    } => {
-                        let a = read_op(&env, *lhs)?;
-                        let b = read_op(&env, *rhs)?;
-                        env[dst.index()] =
-                            Some(u64::from(nf_ir::opt::eval_icmp(*pred, *ty, a, b)));
-                    }
-                    Inst::Cast {
-                        dst,
-                        op,
-                        from,
-                        to,
-                        src,
-                    } => {
-                        let v = read_op(&env, *src)?;
-                        env[dst.index()] = Some(nf_ir::opt::eval_cast(*op, *from, *to, v));
-                    }
-                    Inst::Select {
-                        dst,
-                        ty,
-                        cond,
-                        on_true,
-                        on_false,
-                    } => {
-                        let c = read_op(&env, *cond)? & 1;
-                        let v = if c != 0 {
-                            read_op(&env, *on_true)?
-                        } else {
-                            read_op(&env, *on_false)?
-                        };
-                        env[dst.index()] = Some(mask(v, *ty));
-                    }
-                    Inst::Load { dst, ty, mem } => {
-                        let v = do_load(state, &env, &slots, view, mem, *ty, &mut trace)?;
-                        env[dst.index()] = Some(mask(v, *ty));
-                    }
-                    Inst::Store { ty, val, mem } => {
-                        let v = mask(read_op(&env, *val)?, *ty);
-                        do_store(state, &env, &mut slots, view, mem, *ty, v, &mut trace)?;
-                    }
-                    Inst::Call { dst, api, args } => {
-                        let vals: Vec<u64> = args
-                            .iter()
-                            .map(|a| read_op(&env, *a))
-                            .collect::<Result<_, _>>()?;
-                        let r = do_call(state, api, &vals, view, &mut trace, timestamp, rng_state)?;
-                        if let Some(d) = dst {
-                            env[d.index()] = Some(r);
-                        }
-                    }
-                }
-            }
-
+        for inst in &block.insts {
             trace.steps += 1;
             if trace.steps > step_limit {
                 return Err(TraceError::StepLimit { limit: step_limit });
             }
-            match &block.term {
-                Term::Br { target } => {
-                    prev = Some(cur);
-                    cur = *target;
-                }
-                Term::CondBr {
-                    cond,
-                    then_bb,
-                    else_bb,
+            match inst {
+                Inst::Phi { .. } => {} // Handled above.
+                // ALU semantics (masking, wraparound, the type-width
+                // shift rule) are defined once in `nf_ir::opt`;
+                // constant folding and the reference executor use the
+                // same functions, so the difftest layers cannot drift.
+                Inst::Bin {
+                    dst,
+                    op,
+                    ty,
+                    lhs,
+                    rhs,
                 } => {
-                    let c = read_op(&env, *cond)? & 1;
-                    prev = Some(cur);
-                    cur = if c != 0 { *then_bb } else { *else_bb };
+                    let a = read_op(env, *lhs)?;
+                    let b = read_op(env, *rhs)?;
+                    env[dst.index()] = Some(nf_ir::opt::eval_bin(*op, *ty, a, b));
                 }
-                Term::Ret { val } => {
-                    trace.ret = val.map(|v| read_op(&env, v)).transpose()?;
-                    break 'blocks;
+                Inst::Icmp {
+                    dst,
+                    pred,
+                    ty,
+                    lhs,
+                    rhs,
+                } => {
+                    let a = read_op(env, *lhs)?;
+                    let b = read_op(env, *rhs)?;
+                    env[dst.index()] =
+                        Some(u64::from(nf_ir::opt::eval_icmp(*pred, *ty, a, b)));
+                }
+                Inst::Cast {
+                    dst,
+                    op,
+                    from,
+                    to,
+                    src,
+                } => {
+                    let v = read_op(env, *src)?;
+                    env[dst.index()] = Some(nf_ir::opt::eval_cast(*op, *from, *to, v));
+                }
+                Inst::Select {
+                    dst,
+                    ty,
+                    cond,
+                    on_true,
+                    on_false,
+                } => {
+                    let c = read_op(env, *cond)? & 1;
+                    let v = if c != 0 {
+                        read_op(env, *on_true)?
+                    } else {
+                        read_op(env, *on_false)?
+                    };
+                    env[dst.index()] = Some(mask(v, *ty));
+                }
+                Inst::Load { dst, ty, mem } => {
+                    let v = do_load(state, env, slots, view, mem, *ty, &mut trace)?;
+                    env[dst.index()] = Some(mask(v, *ty));
+                }
+                Inst::Store { ty, val, mem } => {
+                    let v = mask(read_op(env, *val)?, *ty);
+                    do_store(state, env, slots, view, mem, *ty, v, &mut trace)?;
+                }
+                Inst::Call {
+                    dst,
+                    api,
+                    args: operands,
+                } => {
+                    args.clear();
+                    for a in operands {
+                        args.push(read_op(env, *a)?);
+                    }
+                    let r = do_call(state, api, args, view, &mut trace, timestamp, rng_state)?;
+                    if let Some(d) = dst {
+                        env[d.index()] = Some(r);
+                    }
                 }
             }
         }
-        Ok(trace)
+
+        trace.steps += 1;
+        if trace.steps > step_limit {
+            return Err(TraceError::StepLimit { limit: step_limit });
+        }
+        match &block.term {
+            Term::Br { target } => {
+                prev = Some(cur);
+                cur = *target;
+            }
+            Term::CondBr {
+                cond,
+                then_bb,
+                else_bb,
+            } => {
+                let c = read_op(env, *cond)? & 1;
+                prev = Some(cur);
+                cur = if c != 0 { *then_bb } else { *else_bb };
+            }
+            Term::Ret { val } => {
+                trace.ret = val.map(|v| read_op(env, v)).transpose()?;
+                break 'blocks;
+            }
+        }
     }
+    *events_hint = trace.events.len();
+    Ok(trace)
 }
 
 fn do_load(
@@ -681,6 +707,27 @@ mod tests {
         let spec = spec.with_pkt_size(128); // ip_len=114 < 200
         let t2 = Trace::generate(&spec, 1, 1);
         assert_eq!(machine.run(&t2.pkts[0]).unwrap().ret, Some(222));
+    }
+
+    /// Stack slots are per packet: a machine reusing its buffers across
+    /// packets must still start each one from zeroed slots.
+    #[test]
+    fn stack_slots_start_zeroed_on_every_packet() {
+        let mut m = Module::new("stack");
+        let mut fb = FunctionBuilder::new("process");
+        let bb = fb.entry_block();
+        fb.switch_to(bb);
+        let slot = fb.slot();
+        let v = fb.load(Ty::I32, MemRef::stack(slot));
+        let v2 = fb.bin(BinOp::Add, Ty::I32, v, Operand::imm(1));
+        fb.store(Ty::I32, v2, MemRef::stack(slot));
+        fb.ret(Some(v2));
+        m.funcs.push(fb.finish());
+        let mut machine = Machine::new(&m).unwrap();
+        let trace = Trace::generate(&WorkloadSpec::large_flows(), 3, 1);
+        for p in &trace.pkts {
+            assert_eq!(machine.run(p).unwrap().ret, Some(1));
+        }
     }
 
     #[test]

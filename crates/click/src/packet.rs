@@ -1,23 +1,32 @@
 //! Mutable packet header views.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nf_ir::PktField;
 use trafgen::{Packet, Proto};
+
+/// Number of fixed header fields ([`PktField::HEADER_FIELDS`]).
+const HEADERS: usize = PktField::HEADER_FIELDS.len();
 
 /// A mutable view of one packet's header fields and payload.
 ///
 /// Header fields are materialized from the immutable trace packet on
 /// construction; NF code can then read and rewrite them (NAT address
-/// rewriting, TTL decrements, checksum patches). Payload bytes are
-/// generated lazily from the packet's deterministic seed, with a sparse
-/// overlay for writes.
+/// rewriting, TTL decrements, checksum patches). They live in a fixed
+/// array indexed by position in [`PktField::HEADER_FIELDS`], with a
+/// bitmask of which fields the packet carries, so building a view and
+/// reading a field never allocate or hash. Payload bytes are generated
+/// lazily from the packet's deterministic seed, with a sparse overlay for
+/// writes.
 #[derive(Debug, Clone)]
 pub struct PacketView {
     /// The underlying trace packet.
     pub base: Packet,
-    fields: HashMap<PktField, u64>,
-    payload_overlay: HashMap<u16, u8>,
+    /// Header values by [`header_index`]; 0 where absent.
+    fields: [u64; HEADERS],
+    /// Bit `i` set ⇔ header `i` is present (materialized or written).
+    present: u32,
+    payload_overlay: BTreeMap<u16, u8>,
     /// Output port chosen by `pkt_send` (None until sent/dropped).
     pub verdict: Option<Verdict>,
 }
@@ -34,45 +43,46 @@ pub enum Verdict {
 impl PacketView {
     /// Builds the view, materializing header fields from the trace packet.
     pub fn new(pkt: &Packet) -> PacketView {
-        let mut fields = HashMap::new();
+        let mut v = PacketView {
+            base: *pkt,
+            fields: [0; HEADERS],
+            present: 0,
+            payload_overlay: BTreeMap::new(),
+            verdict: None,
+        };
         let f = pkt.flow;
         let ip_len = u64::from(pkt.size.saturating_sub(14));
-        fields.insert(PktField::EthDst, 0x00aa_bb01);
-        fields.insert(PktField::EthSrc, 0x00cc_dd02);
-        fields.insert(PktField::EthType, 0x0800);
-        fields.insert(PktField::IpVhl, 0x45);
-        fields.insert(PktField::IpTos, 0);
-        fields.insert(PktField::IpLen, ip_len);
-        fields.insert(PktField::IpId, u64::from(pkt.seq & 0xffff));
-        fields.insert(PktField::IpTtl, u64::from(pkt.ttl));
-        fields.insert(PktField::IpProto, u64::from(f.proto.number()));
-        fields.insert(PktField::IpCsum, 0xbeef);
-        fields.insert(PktField::IpSrc, u64::from(f.src_ip));
-        fields.insert(PktField::IpDst, u64::from(f.dst_ip));
+        v.set(PktField::EthDst, 0x00aa_bb01);
+        v.set(PktField::EthSrc, 0x00cc_dd02);
+        v.set(PktField::EthType, 0x0800);
+        v.set(PktField::IpVhl, 0x45);
+        v.set(PktField::IpTos, 0);
+        v.set(PktField::IpLen, ip_len);
+        v.set(PktField::IpId, u64::from(pkt.seq & 0xffff));
+        v.set(PktField::IpTtl, u64::from(pkt.ttl));
+        v.set(PktField::IpProto, u64::from(f.proto.number()));
+        v.set(PktField::IpCsum, 0xbeef);
+        v.set(PktField::IpSrc, u64::from(f.src_ip));
+        v.set(PktField::IpDst, u64::from(f.dst_ip));
         match f.proto {
             Proto::Tcp => {
-                fields.insert(PktField::TcpSport, u64::from(f.src_port));
-                fields.insert(PktField::TcpDport, u64::from(f.dst_port));
-                fields.insert(PktField::TcpSeq, u64::from(pkt.seq));
-                fields.insert(PktField::TcpAck, u64::from(pkt.seq.wrapping_add(1)));
-                fields.insert(PktField::TcpOff, 0x50);
-                fields.insert(PktField::TcpFlags, u64::from(pkt.tcp_flags));
-                fields.insert(PktField::TcpWin, 0xffff);
-                fields.insert(PktField::TcpCsum, 0xcafe);
+                v.set(PktField::TcpSport, u64::from(f.src_port));
+                v.set(PktField::TcpDport, u64::from(f.dst_port));
+                v.set(PktField::TcpSeq, u64::from(pkt.seq));
+                v.set(PktField::TcpAck, u64::from(pkt.seq.wrapping_add(1)));
+                v.set(PktField::TcpOff, 0x50);
+                v.set(PktField::TcpFlags, u64::from(pkt.tcp_flags));
+                v.set(PktField::TcpWin, 0xffff);
+                v.set(PktField::TcpCsum, 0xcafe);
             }
             Proto::Udp => {
-                fields.insert(PktField::UdpSport, u64::from(f.src_port));
-                fields.insert(PktField::UdpDport, u64::from(f.dst_port));
-                fields.insert(PktField::UdpLen, u64::from(pkt.size.saturating_sub(34)));
-                fields.insert(PktField::UdpCsum, 0xfeed);
+                v.set(PktField::UdpSport, u64::from(f.src_port));
+                v.set(PktField::UdpDport, u64::from(f.dst_port));
+                v.set(PktField::UdpLen, u64::from(pkt.size.saturating_sub(34)));
+                v.set(PktField::UdpCsum, 0xfeed);
             }
         }
-        PacketView {
-            base: *pkt,
-            fields,
-            payload_overlay: HashMap::new(),
-            verdict: None,
-        }
+        v
     }
 
     /// Reads a header field or payload word (0 for absent fields, e.g.
@@ -91,7 +101,7 @@ impl PacketView {
                 }
                 word
             }
-            _ => self.fields.get(&field).copied().unwrap_or(0),
+            _ => header_index(field).map_or(0, |i| self.fields[i]),
         }
     }
 
@@ -105,7 +115,10 @@ impl PacketView {
                 }
             }
             _ => {
-                self.fields.insert(field, value);
+                if let Some(i) = header_index(field) {
+                    self.fields[i] = value;
+                    self.present |= 1 << i;
+                }
             }
         }
     }
@@ -131,20 +144,52 @@ impl PacketView {
     /// snapshots are equal — this is what "emitted packets agree" means
     /// for the difftest oracle.
     pub fn snapshot(&self) -> PacketSnapshot {
-        let mut fields: Vec<(PktField, u64)> = self.fields.iter().map(|(f, v)| (*f, *v)).collect();
-        fields.sort_unstable();
-        let mut payload: Vec<(u16, u8)> = self
-            .payload_overlay
+        // `HEADER_FIELDS` is in `PktField` order, so index order is sorted.
+        let fields = PktField::HEADER_FIELDS
             .iter()
-            .map(|(off, b)| (*off, *b))
+            .enumerate()
+            .filter(|&(i, _)| self.present & (1 << i) != 0)
+            .map(|(i, &f)| (f, self.fields[i]))
             .collect();
-        payload.sort_unstable();
+        let payload = self.payload_overlay.iter().map(|(&off, &b)| (off, b)).collect();
         PacketSnapshot {
             fields,
             payload,
             verdict: self.verdict,
         }
     }
+}
+
+/// Position of a header field in [`PktField::HEADER_FIELDS`]; `None` for
+/// payload offsets.
+fn header_index(field: PktField) -> Option<usize> {
+    Some(match field {
+        PktField::EthDst => 0,
+        PktField::EthSrc => 1,
+        PktField::EthType => 2,
+        PktField::IpVhl => 3,
+        PktField::IpTos => 4,
+        PktField::IpLen => 5,
+        PktField::IpId => 6,
+        PktField::IpTtl => 7,
+        PktField::IpProto => 8,
+        PktField::IpCsum => 9,
+        PktField::IpSrc => 10,
+        PktField::IpDst => 11,
+        PktField::TcpSport => 12,
+        PktField::TcpDport => 13,
+        PktField::TcpSeq => 14,
+        PktField::TcpAck => 15,
+        PktField::TcpOff => 16,
+        PktField::TcpFlags => 17,
+        PktField::TcpWin => 18,
+        PktField::TcpCsum => 19,
+        PktField::UdpSport => 20,
+        PktField::UdpDport => 21,
+        PktField::UdpLen => 22,
+        PktField::UdpCsum => 23,
+        PktField::Payload(_) => return None,
+    })
 }
 
 /// Canonical, order-independent image of a packet's observable outputs
@@ -217,5 +262,71 @@ mod tests {
         assert_ne!(orig, 0xdeadbeef_u64.wrapping_add(1));
         // Adjacent unwritten bytes still come from the seed.
         let _ = v.get(PktField::Payload(8));
+    }
+
+    #[test]
+    fn header_index_matches_the_sorted_field_list() {
+        for (i, &f) in PktField::HEADER_FIELDS.iter().enumerate() {
+            assert_eq!(header_index(f), Some(i), "{f:?}");
+        }
+        assert!(PktField::HEADER_FIELDS.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(header_index(PktField::Payload(0)), None);
+    }
+
+    fn names(s: &PacketSnapshot) -> Vec<String> {
+        s.fields.iter().map(|(f, _)| f.name()).collect()
+    }
+
+    #[test]
+    fn tcp_snapshot_reports_exactly_the_eth_ip_tcp_fields() {
+        let s = PacketView::new(&pkt()).snapshot();
+        assert_eq!(
+            names(&s),
+            [
+                "eth_dst", "eth_src", "eth_type", "ip_vhl", "ip_tos", "ip_len", "ip_id", "ip_ttl",
+                "ip_proto", "ip_csum", "ip_src", "ip_dst", "tcp_sport", "tcp_dport", "tcp_seq",
+                "tcp_ack", "tcp_off", "tcp_flags", "tcp_win", "tcp_csum",
+            ]
+        );
+        assert_eq!(s.fields[12], (PktField::TcpSport, 1234));
+        assert_eq!(s.fields[14], (PktField::TcpSeq, 42));
+        assert_eq!(s.fields[15], (PktField::TcpAck, 43));
+        assert!(s.payload.is_empty());
+        assert_eq!(s.verdict, None);
+    }
+
+    #[test]
+    fn udp_snapshot_reports_exactly_the_eth_ip_udp_fields() {
+        let mut p = pkt();
+        p.flow.proto = Proto::Udp;
+        let s = PacketView::new(&p).snapshot();
+        assert_eq!(
+            names(&s),
+            [
+                "eth_dst", "eth_src", "eth_type", "ip_vhl", "ip_tos", "ip_len", "ip_id", "ip_ttl",
+                "ip_proto", "ip_csum", "ip_src", "ip_dst", "udp_sport", "udp_dport", "udp_len",
+                "udp_csum",
+            ]
+        );
+        assert_eq!(s.fields[8], (PktField::IpProto, 17));
+        assert_eq!(s.fields[14], (PktField::UdpLen, 128 - 34));
+    }
+
+    #[test]
+    fn writing_an_absent_field_makes_it_appear_in_sorted_order() {
+        let mut p = pkt();
+        p.flow.proto = Proto::Udp;
+        let mut v = PacketView::new(&p);
+        v.set(PktField::TcpSeq, 0);
+        v.set(PktField::Payload(9), 0x0102_0304);
+        v.set(PktField::Payload(2), 0xaabb_ccdd);
+        let s = v.snapshot();
+        assert_eq!(s.fields.len(), 17);
+        assert_eq!(s.fields[12], (PktField::TcpSeq, 0));
+        assert!(s.fields.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(
+            s.payload,
+            [(2, 0xaa), (3, 0xbb), (4, 0xcc), (5, 0xdd), (9, 1), (10, 2), (11, 3), (12, 4)]
+        );
     }
 }

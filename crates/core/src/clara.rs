@@ -566,21 +566,24 @@ impl Clara {
 
     /// The trace-independent half of a prediction (verification, LSTM
     /// compute estimate, memory count), memoized process-wide by
-    /// (predictor, module, precision) — the precision joins the key so a
-    /// server holding both paths warm never serves one precision's
-    /// estimate for the other. Memoized values are pure deterministic
-    /// functions of the key, so a hit is bit-identical to recomputation;
-    /// hit/miss counters are volatile because racing batch workers may
-    /// both miss the same key.
+    /// (predictor, module, precision). `module_fp` is the module's
+    /// printed-IR [`nic_sim::module_fingerprint`], the same identity the
+    /// engine's compile and profile caches key on. The precision joins
+    /// the key so a server holding both paths warm never serves one
+    /// precision's estimate for the other. Memoized values are pure
+    /// deterministic functions of the key, so a hit is bit-identical to
+    /// recomputation; hit/miss counters are volatile because racing
+    /// batch workers may both miss the same key.
     fn module_half(
         &self,
         predictor_fp: u64,
         module: &Module,
+        module_fp: u64,
         precision: Precision,
     ) -> Result<(f64, u32), ClaraError> {
         type HalfMemo = Mutex<HashMap<(u64, u64, Precision), (f64, u32)>>;
         static MEMO: OnceLock<HalfMemo> = OnceLock::new();
-        let key = (predictor_fp, engine::value_fingerprint(module), precision);
+        let key = (predictor_fp, module_fp, precision);
         let memo = MEMO.get_or_init(Mutex::default);
         if let Some(&hit) = memo.lock().expect("memo poisoned").get(&key) {
             obs::volatile_counter("clara.predict_memo.hits").incr();
@@ -700,9 +703,12 @@ impl Clara {
             if trace.pkts.is_empty() {
                 return Err(ClaraError::EmptyTrace);
             }
+            // One module identity per item, shared by the memo below and
+            // the engine's compile and profile caches.
+            let module_fp = nic_sim::module_fingerprint(module);
             let (predicted_compute, counted_mem) =
-                self.module_half(predictor_fp, module, precision)?;
-            let profile = eng.profile_cached_for(module, trace, &naive, nic, backend_fp);
+                self.module_half(predictor_fp, module, module_fp, precision)?;
+            let profile = eng.profile_cached_fp(module, module_fp, trace, &naive, nic, backend_fp);
             // Scale-out is trained once and parameterized by the device
             // at inference time; the clamp keeps suggestions honest for
             // devices with fewer cores than the training default.

@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 use clara_obs as obs;
 use nf_ir::Module;
 use nfcc::NicModule;
-use nic_sim::{module_fingerprint, NicConfig, PortConfig, WorkloadProfile};
+use nic_sim::{module_fingerprint, trace_fingerprint, NicConfig, PortConfig, WorkloadProfile};
 use serde::Serialize;
 use trafgen::{Trace, WorkloadSpec};
 
@@ -653,6 +653,17 @@ fn profile_misses() -> &'static obs::Counter {
     eng_ctr(&PROFILE_MISSES, "engine.profile_cache.misses")
 }
 
+/// Registers all four memo-cache counters together, as
+/// [`touch_fault_counters`] does for its three: otherwise which of them
+/// exist in a run report depends on which cache outcomes the process
+/// happened to see first, and the report shape would depend on history.
+fn touch_cache_counters() {
+    compile_hits();
+    compile_misses();
+    profile_hits();
+    profile_misses();
+}
+
 /// Content fingerprint of any serializable value (for cache keys).
 pub fn value_fingerprint<T: Serialize>(v: &T) -> u64 {
     let json = serde_json::to_string(v).unwrap_or_default();
@@ -685,7 +696,7 @@ impl Engine {
     /// the *same* module single-flight on the entry's `OnceLock`: one
     /// compiles (counted as the miss), the rest block and count as hits.
     pub fn compile_cached(&self, module: &Module) -> Arc<NicModule> {
-        compile_cached_impl(module, &resolved())
+        compile_cached_impl(module, module_fingerprint(module), &resolved())
     }
 
     /// Memoized setup-free profiling: [`nic_sim::profile_workload`] with
@@ -704,8 +715,7 @@ impl Engine {
         port: &PortConfig,
         cfg: &NicConfig,
     ) -> WorkloadProfile {
-        let backend_fp = value_fingerprint(cfg);
-        profile_cached_impl(module, trace, port, cfg, backend_fp, &resolved())
+        self.profile_cached_for(module, trace, port, cfg, value_fingerprint(cfg))
     }
 
     /// [`Engine::profile_cached`] for a specific device backend: the
@@ -720,7 +730,23 @@ impl Engine {
         cfg: &NicConfig,
         backend_fp: u64,
     ) -> WorkloadProfile {
-        profile_cached_impl(module, trace, port, cfg, backend_fp, &resolved())
+        self.profile_cached_fp(module, module_fingerprint(module), trace, port, cfg, backend_fp)
+    }
+
+    /// [`Engine::profile_cached_for`] with the module's
+    /// [`module_fingerprint`] supplied by a caller that already computed
+    /// it, so one prediction prints the module's IR once rather than once
+    /// per cache it consults.
+    pub(crate) fn profile_cached_fp(
+        &self,
+        module: &Module,
+        module_fp: u64,
+        trace: &Trace,
+        port: &PortConfig,
+        cfg: &NicConfig,
+        backend_fp: u64,
+    ) -> WorkloadProfile {
+        profile_cached_impl(module, module_fp, trace, port, cfg, backend_fp, &resolved())
     }
 
     /// Drops both in-process memo caches (tests use this to exercise
@@ -762,8 +788,9 @@ impl Engine {
     }
 }
 
-fn compile_cached_impl(module: &Module, res: &Resolved) -> Arc<NicModule> {
-    let fp = module_fingerprint(module);
+/// `fp` is `module`'s [`module_fingerprint`].
+fn compile_cached_impl(module: &Module, fp: u64, res: &Resolved) -> Arc<NicModule> {
+    touch_cache_counters();
     let cache = COMPILE_CACHE.get_or_init(Mutex::default);
     let slot = {
         let mut guard = cache.lock().expect("cache poisoned");
@@ -802,17 +829,20 @@ fn compile_artifact(module: &Module, fp: u64, disk: Option<&DiskCache>) -> Arc<N
     nic
 }
 
+/// `module_fp` is `module`'s [`module_fingerprint`].
 fn profile_cached_impl(
     module: &Module,
+    module_fp: u64,
     trace: &Trace,
     port: &PortConfig,
     cfg: &NicConfig,
     backend_fp: u64,
     res: &Resolved,
 ) -> WorkloadProfile {
+    touch_cache_counters();
     let key = (
-        module_fingerprint(module),
-        value_fingerprint(trace),
+        module_fp,
+        trace_fingerprint(trace),
         value_fingerprint(port),
         value_fingerprint(cfg),
         backend_fp,
@@ -831,7 +861,7 @@ fn profile_cached_impl(
             // its own disk artifact; nesting it here would double-count
             // its telemetry on replay and make a warm run's in-memory
             // compile hit/miss pattern diverge from a cold run's.
-            let nic = compile_cached_impl(module, res);
+            let nic = compile_cached_impl(module, module_fp, res);
             profile_artifact(module, &nic, trace, port, cfg, key, res.cache.as_ref())
         })
         .clone();
@@ -936,7 +966,8 @@ pub fn try_profile_matrix(
         &cells,
         &|_, &(i, j)| {
             let trace = Trace::generate(&workloads[j], pkts, seed ^ ((i * w + j) as u64));
-            profile_cached_impl(&modules[i], &trace, port, cfg, backend_fp, &res)
+            let module_fp = module_fingerprint(&modules[i]);
+            profile_cached_impl(&modules[i], module_fp, &trace, port, cfg, backend_fp, &res)
         },
         &res,
     )

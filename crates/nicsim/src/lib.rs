@@ -35,7 +35,7 @@ pub mod profile;
 pub mod sim;
 
 pub use config::{MemLevel, MemLevelCfg, NicConfig};
-pub use fingerprint::{fingerprint_bytes, module_fingerprint};
+pub use fingerprint::{fingerprint_bytes, module_fingerprint, trace_fingerprint};
 pub use model::{solve_colocated, solve_perf, PerfPoint};
 pub use port::{Accel, CoalescePlan, PortConfig};
 pub use profile::{

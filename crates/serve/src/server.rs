@@ -513,6 +513,11 @@ fn uds_accept_loop(listener: &UnixListener, s: &Arc<Shared>) {
 
 // ---- connection threads ------------------------------------------------
 
+/// How long one write of a `drain` reply may block before the daemon
+/// stops anyway: a slow reader still gets the whole report, while a
+/// client that never reads cannot hold shutdown forever.
+const DRAIN_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 fn handle_conn(stream: TcpStream, s: &Arc<Shared>) {
     // One write per response and no Nagle buffering: a request/response
     // protocol of small frames would otherwise serialize on ~40ms
@@ -528,13 +533,19 @@ fn handle_conn(stream: TcpStream, s: &Arc<Shared>) {
         if line.trim().is_empty() {
             continue;
         }
-        let mut response = handle_line(&line, s);
+        let (mut response, is_drain) = handle_line(&line, s);
         response.push('\n');
-        if writer.write_all(response.as_bytes()).is_err() {
-            return;
+        if is_drain {
+            let _ = writer.set_write_timeout(Some(DRAIN_WRITE_TIMEOUT));
         }
+        let wrote = writer.write_all(response.as_bytes());
         let _ = writer.flush();
-        if s.stopped.load(Ordering::SeqCst) {
+        if is_drain {
+            // Stop only once the report is written (or cannot be): the
+            // acceptors exit on this flag, and the process with them.
+            s.stopped.store(true, Ordering::SeqCst);
+        }
+        if wrote.is_err() || s.stopped.load(Ordering::SeqCst) {
             return;
         }
     }
@@ -559,17 +570,23 @@ fn handle_conn_framed(stream: UnixStream, s: &Arc<Shared>) {
         if line.trim().is_empty() {
             continue;
         }
-        let response = handle_line(&line, s);
-        if transport::write_frame(&mut writer, &mut write_buf, &response).is_err() {
-            return;
+        let (response, is_drain) = handle_line(&line, s);
+        if is_drain {
+            let _ = writer.set_write_timeout(Some(DRAIN_WRITE_TIMEOUT));
         }
-        if s.stopped.load(Ordering::SeqCst) {
+        let wrote = transport::write_frame(&mut writer, &mut write_buf, &response);
+        if is_drain {
+            s.stopped.store(true, Ordering::SeqCst);
+        }
+        if wrote.is_err() || s.stopped.load(Ordering::SeqCst) {
             return;
         }
     }
 }
 
-fn handle_line(line: &str, s: &Arc<Shared>) -> String {
+/// Answers one request line; the flag is set for a `drain`, whose
+/// connection stops the daemon once the reply is written.
+fn handle_line(line: &str, s: &Arc<Shared>) -> (String, bool) {
     let started = Instant::now();
     let env = match protocol::parse_request(line) {
         Ok(env) => env,
@@ -577,7 +594,7 @@ fn handle_line(line: &str, s: &Arc<Shared>) -> String {
             // Parse failures have no attributable tenant; they count
             // against `default` so totals still reconcile.
             s.count_error(&s.registry.default_tenant());
-            return protocol::error_response(None, ErrorKind::BadRequest, &detail);
+            return (protocol::error_response(None, ErrorKind::BadRequest, &detail), false);
         }
     };
     let op_name = match &env.req {
@@ -592,7 +609,7 @@ fn handle_line(line: &str, s: &Arc<Shared>) -> String {
     let response = dispatch(env, s);
     obs::volatile_histogram(&format!("serve.op.{op_name}.latency_us"))
         .observe(started.elapsed().as_micros() as f64);
-    response
+    (response, op_name == "drain")
 }
 
 fn dispatch(env: Envelope, s: &Arc<Shared>) -> String {
@@ -1008,9 +1025,9 @@ fn drain_inline(id: Option<u64>, s: &Arc<Shared>) -> String {
     let report_json = obs::RunReport::capture().to_json_deterministic();
     let report = serde_json::parse_value(&report_json)
         .unwrap_or(Value::Str(report_json));
-    let response = protocol::drain_response(id, served, report);
-    s.stopped.store(true, Ordering::SeqCst);
-    response
+    // The connection thread sets `stopped` once this reply is written;
+    // setting it here would let the daemon exit mid-write.
+    protocol::drain_response(id, served, report)
 }
 
 // ---- workers -----------------------------------------------------------

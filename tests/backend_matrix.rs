@@ -32,6 +32,12 @@ use clara_repro::trafgen::{Trace, WorkloadSpec};
 /// they must not interleave.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`OBS_LOCK`], ignoring poison: one test's failure must report
+/// as one failure, not cascade into the others.
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// One trained pipeline shared by both tests (training dominates
 /// runtime; predictions are cheap).
 fn clara() -> &'static Clara {
@@ -60,7 +66,7 @@ fn check_golden(name: &str, got: &str) {
 
 #[test]
 fn cross_device_matrix_matches_golden() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let clara = clara();
     let mut out = String::from(
         "# backend matrix golden: <element> <backend> cores=<suggested> \
@@ -118,7 +124,7 @@ fn cross_device_matrix_matches_golden() {
 /// prediction rows (see `cross_device_matrix_matches_golden`).
 #[test]
 fn dpu_crc_variant_delta_is_attributable_to_the_catalog() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let clara = clara();
     let trace = Trace::generate(&WorkloadSpec::imix(), 60, 7);
     let e = clara_repro::click::corpus()
@@ -166,7 +172,7 @@ fn dpu_crc_variant_delta_is_attributable_to_the_catalog() {
 
 #[test]
 fn default_backend_report_is_byte_identical_to_legacy() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let clara = clara();
     let e = clara_repro::click::corpus()
         .into_iter()

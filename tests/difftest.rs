@@ -20,6 +20,7 @@ use clara_repro::ir::{
     print, ApiCall, BinOp, CastOp, FunctionBuilder, MemRef, Module, Operand, PktField, Pred,
     StateKind, Ty,
 };
+use clara_repro::serve::WorkSpec;
 
 fn golden_path(name: &str) -> String {
     format!(
@@ -198,5 +199,29 @@ fn pinned_seed_sweep_is_clean() {
             "start={start} first divergence: {}",
             report.divergent[0].divergence.as_ref().unwrap()
         );
+    }
+}
+
+/// Every extended-corpus NF on the traffic the serving daemon profiles
+/// (`WorkSpec::trace`: 400 packets of large or small flows): the
+/// interpreter, which reuses its buffers across packets, must agree with
+/// the independently written reference executor packet by packet, and
+/// the optimized module must match both.
+#[test]
+fn extended_corpus_agrees_across_layers_on_served_traffic() {
+    for (i, e) in clara_repro::click::extended_corpus().iter().enumerate() {
+        for small_flows in [false, true] {
+            let spec = WorkSpec {
+                nf: e.name().to_string(),
+                packets: 400,
+                seed: 21 + i as u64,
+                small_flows,
+                backend: None,
+                precision: None,
+            };
+            if let Some(div) = difftest::check_module(&e.module, &spec.trace(), None) {
+                panic!("{} small_flows={small_flows}: {div}", e.name());
+            }
+        }
     }
 }
