@@ -36,14 +36,12 @@ use crate::prepare::prepare_module;
 use crate::scaleout::{ScaleoutKind, ScaleoutModel};
 use tinyml::quant::Precision;
 
-/// Format version written by [`Clara::save`]. Version 2 added the
-/// quantized (Q16.16) model companions and the default-precision field.
-pub const MODEL_FORMAT_VERSION: u64 = 2;
-
-/// Oldest format version [`Clara::load`] still reads. Version-1
-/// envelopes carry only f64 weights; their quantized companions are
-/// rebuilt deterministically on load.
-pub const MIN_MODEL_FORMAT_VERSION: u64 = 1;
+/// The one format version [`Clara::save`] writes and [`Clara::load`]
+/// reads. Version 3 saves only the f64 weights (the Q16.16 twins are
+/// rebuilt from them on load) and stores regression trees as flat
+/// preorder arrays. A model file is a deterministic function of its
+/// [`ClaraConfig`], so an older file is re-trained, not converted.
+pub const MODEL_FORMAT_VERSION: u64 = 3;
 
 /// Training budget for the whole Clara pipeline.
 ///
@@ -211,8 +209,8 @@ pub struct Clara {
     /// NIC configuration used for training and analysis.
     pub nic: NicConfig,
     /// Default inference precision (from [`ClaraConfig::precision`] at
-    /// train time; `F64` for version-1 model files). Entry points without
-    /// an explicit precision use this.
+    /// train time, saved with the model). Entry points without an
+    /// explicit precision use this.
     pub precision: Precision,
 }
 
@@ -412,8 +410,10 @@ impl Clara {
     }
 
     /// Serializes the trained pipeline to a versioned JSON envelope
-    /// (`{format_version, nic_config, models}`), so it can be reloaded
-    /// by any build that reads the same [`MODEL_FORMAT_VERSION`].
+    /// (`{format_version, nic_config, precision, models}`), so it can be
+    /// reloaded by any build that reads the same [`MODEL_FORMAT_VERSION`].
+    /// Only the f64 weights are written; the Q16.16 twins are rebuilt
+    /// from them on load.
     ///
     /// # Errors
     ///
@@ -448,19 +448,19 @@ impl Clara {
 
     /// Loads a pipeline previously written by [`Clara::save`].
     ///
-    /// Accepts every version in
-    /// [`MIN_MODEL_FORMAT_VERSION`]`..=`[`MODEL_FORMAT_VERSION`].
-    /// Version-1 envelopes (pre-quantization) load as f64 models with
-    /// their Q16.16 companions rebuilt from the f64 weights — a pure
-    /// function of the weights, so the rebuilt companions are identical
-    /// to what training would have saved.
+    /// Reads [`MODEL_FORMAT_VERSION`] only. Decoding checks every shape
+    /// inference indexes (matrix sizes, LSTM tensors against their
+    /// config, tree arrays, GBDT split features) and then rebuilds the
+    /// Q16.16 companions from the f64 weights — a pure function of the
+    /// weights, so they are identical to the ones training built.
     ///
     /// # Errors
     ///
     /// Returns [`ClaraError::Io`] when the file cannot be read,
-    /// [`ClaraError::Format`] when it is not a Clara model envelope, and
-    /// [`ClaraError::UnsupportedVersion`] when it was written by an
-    /// incompatible format version.
+    /// [`ClaraError::Format`] when it is not a Clara model envelope or a
+    /// model section fails those checks, and
+    /// [`ClaraError::UnsupportedVersion`] when it was written in any
+    /// other format version.
     pub fn load(path: impl AsRef<Path>) -> Result<Clara, ClaraError> {
         let path = path.as_ref();
         let format = |detail: String| ClaraError::Format {
@@ -483,7 +483,7 @@ impl Clara {
                 ))
             }
         };
-        if !(MIN_MODEL_FORMAT_VERSION..=MODEL_FORMAT_VERSION).contains(&found) {
+        if found != MODEL_FORMAT_VERSION {
             return Err(ClaraError::UnsupportedVersion {
                 found,
                 supported: MODEL_FORMAT_VERSION,
@@ -497,7 +497,7 @@ impl Clara {
                 .get(name)
                 .ok_or_else(|| format(format!("missing `models.{name}` section")))
         };
-        let mut clara = Clara {
+        Ok(Clara {
             predictor: InstructionPredictor::from_value(field("predictor")?)
                 .map_err(|e| format(e.to_string()))?,
             algid: AlgoIdentifier::from_value(field("algid")?)
@@ -509,16 +509,12 @@ impl Clara {
                     .ok_or_else(|| format("missing `nic_config` section".to_string()))?,
             )
             .map_err(|e| format(e.to_string()))?,
-            // Absent in version-1 envelopes; `from_value(Null)` yields
-            // the legacy F64 default.
-            precision: Precision::from_value(v.get("precision").unwrap_or(&Value::Null))
-                .map_err(|e| format(e.to_string()))?,
-        };
-        // Version-1 files predate the quantized companions; rebuild them
-        // from the f64 weights (no-op for version-2 files).
-        clara.predictor.ensure_quantized();
-        clara.scaleout.ensure_quantized();
-        Ok(clara)
+            precision: Precision::from_value(
+                v.get("precision")
+                    .ok_or_else(|| format("missing `precision` section".to_string()))?,
+            )
+            .map_err(|e| format(e.to_string()))?,
+        })
     }
 
     /// Predicts the performance parameters of one NF + workload — the

@@ -635,6 +635,14 @@ static COMPILE_CACHE: OnceLock<Mutex<HashMap<u64, Slot<Arc<NicModule>>>>> = Once
 type ProfileKey = (u64, u64, u64, u64, u64);
 static PROFILE_CACHE: OnceLock<Mutex<HashMap<ProfileKey, Slot<WorkloadProfile>>>> = OnceLock::new();
 
+/// Most entries the in-process profile cache holds. A miss on a full
+/// cache empties it before inserting, so a stream of never-repeating
+/// traces — a daemon re-planning under traffic drift — cannot grow the
+/// cache without bound, while a key inserted after the cap filled still
+/// hits on its next lookup (a replay profiles each phase's trace once for
+/// all of the phase's epochs). Training stays far below the cap.
+pub const PROFILE_CACHE_CAP: usize = 4096;
+
 static COMPILE_HITS: OnceLock<obs::Counter> = OnceLock::new();
 static COMPILE_MISSES: OnceLock<obs::Counter> = OnceLock::new();
 static PROFILE_HITS: OnceLock<obs::Counter> = OnceLock::new();
@@ -850,6 +858,9 @@ fn profile_cached_impl(
     let cache = PROFILE_CACHE.get_or_init(Mutex::default);
     let slot = {
         let mut guard = cache.lock().expect("cache poisoned");
+        if guard.len() >= PROFILE_CACHE_CAP && !guard.contains_key(&key) {
+            guard.clear();
+        }
         Arc::clone(guard.entry(key).or_default())
     };
     let mut profiled = false;
@@ -894,10 +905,7 @@ fn profile_artifact(
     key: ProfileKey,
     disk: Option<&DiskCache>,
 ) -> WorkloadProfile {
-    let compute = || {
-        let rec = nic_sim::record_workload(module, trace, |_| {});
-        nic_sim::profile_recorded_compiled(module, nic, &rec, port, cfg)
-    };
+    let compute = || nic_sim::profile_workload_compiled(module, nic, trace, port, cfg);
     let Some(dc) = disk else { return compute() };
     let dkey = profile_disk_key(key);
     if let Some((wp, tel)) = dc.load::<WorkloadProfile>("profile", dkey) {

@@ -181,8 +181,8 @@ impl fmt::Display for ClaraError {
             ClaraError::Format { path: None, detail } => write!(f, "{detail}"),
             ClaraError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "model format version {found} is not supported (this build reads versions \
-                 up to {supported}); re-train and re-save the model"
+                "model format version {found} is not supported (this build reads version \
+                 {supported} only; re-train and re-save)"
             ),
             ClaraError::InvalidModule { name, detail } => {
                 write!(f, "module `{name}` failed verification: {detail}")

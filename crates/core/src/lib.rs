@@ -64,8 +64,7 @@ pub mod quantcheck;
 pub mod scaleout;
 
 pub use clara::{
-    Clara, ClaraConfig, ClaraConfigBuilder, Insights, Prediction, MIN_MODEL_FORMAT_VERSION,
-    MODEL_FORMAT_VERSION,
+    Clara, ClaraConfig, ClaraConfigBuilder, Insights, Prediction, MODEL_FORMAT_VERSION,
 };
 pub use coloc::{pair_interference, representative_profile, PairInterference};
 pub use nic_sim::{NicConfig, PortConfig, WorkloadProfile};

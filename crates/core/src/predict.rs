@@ -10,7 +10,7 @@
 //! machine code as compiled from the SmartNIC compiler directly".
 
 use nf_ir::{abstraction, Module, Vocabulary};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use tinyml::cnn::{Cnn1d, CnnConfig};
 use tinyml::lstm::{LstmConfig, LstmRegressor};
 use tinyml::metrics;
@@ -116,7 +116,6 @@ enum Model {
 /// Quantized (Q16.16) companion of a [`Model`]. Only the model families
 /// with a fixed-point twin in `tinyml` get one; CNN and AutoML fall back
 /// to the f64 reference at any requested precision.
-#[derive(Serialize, Deserialize)]
 enum QuantModel {
     Lstm(QuantLstm),
     Dnn(QuantMlp),
@@ -135,15 +134,46 @@ impl QuantModel {
 
 /// A trained cross-platform instruction predictor.
 ///
-/// The optional `quant` companion carries the Q16.16 twin of the model;
-/// it is absent in version-1 model files (and rebuilt on load) and for
-/// model families without a quantized path.
-#[derive(Serialize, Deserialize)]
+/// The optional `quant` companion carries the Q16.16 twin of the model
+/// (absent for model families without a quantized path). It is a pure
+/// function of the f64 weights, so it is built at construction — after
+/// training and after decoding — and never serialized.
 pub struct InstructionPredictor {
     vocab: Vocabulary,
     kind: PredictorKind,
     model: Model,
     quant: Option<QuantModel>,
+}
+
+impl Serialize for InstructionPredictor {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("vocab".to_string(), self.vocab.to_value()),
+            ("kind".to_string(), self.kind.to_value()),
+            ("model".to_string(), self.model.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for InstructionPredictor {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let vocab: Vocabulary = serde::from_field(v, "vocab")?;
+        let model: Model = serde::from_field(v, "model")?;
+        if let Model::Lstm(m) = &model {
+            let width = m.config().vocab;
+            if vocab.len() > width {
+                return Err(Error(format!(
+                    "vocabulary of {} tokens exceeds the LSTM input width {width}",
+                    vocab.len()
+                )));
+            }
+        }
+        Ok(InstructionPredictor::new(
+            vocab,
+            serde::from_field(v, "kind")?,
+            model,
+        ))
+    }
 }
 
 /// Knobs for predictor training.
@@ -263,6 +293,12 @@ impl InstructionPredictor {
                 ))
             }
         };
+        InstructionPredictor::new(vocab, kind, model)
+    }
+
+    /// Assembles a predictor and builds its quantized companion — the one
+    /// constructor training and decoding share.
+    fn new(vocab: Vocabulary, kind: PredictorKind, model: Model) -> InstructionPredictor {
         let quant = QuantModel::build(&model);
         InstructionPredictor {
             vocab,
@@ -277,20 +313,10 @@ impl InstructionPredictor {
         self.kind
     }
 
-    /// True when this predictor carries a Q16.16 companion (always, after
-    /// training or [`InstructionPredictor::ensure_quantized`], for the
-    /// LSTM and DNN families).
+    /// True when this predictor carries a Q16.16 companion (always, for
+    /// the LSTM and DNN families).
     pub fn has_quantized(&self) -> bool {
         self.quant.is_some()
-    }
-
-    /// Rebuilds the quantized companion from the f64 weights if it is
-    /// missing — used after loading a version-1 model file. Deterministic:
-    /// quantization is a pure function of the weights.
-    pub fn ensure_quantized(&mut self) {
-        if self.quant.is_none() {
-            self.quant = QuantModel::build(&self.model);
-        }
     }
 
     /// True when the model consumes token sequences (LSTM/CNN) rather

@@ -9,7 +9,7 @@
 use nic_sim::{optimal_cores, solve_perf, NicConfig, PortConfig, WorkloadProfile};
 
 use crate::error::ClaraError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use tinyml::automl::AutoMlRegressor;
 use tinyml::gbdt::{GbdtConfig, GbdtRegressor};
 use tinyml::knn::Knn;
@@ -22,13 +22,16 @@ use trafgen::WorkloadSpec;
 #[cfg(test)]
 use trafgen::Trace;
 
+/// Width of [`features_of`]'s vector.
+const FEATURES: usize = 9;
+
 /// Feature vector of one (NF workload-profile, NIC) pair.
 pub fn features_of(wp: &WorkloadProfile, cfg: &NicConfig, port: &PortConfig) -> Vec<f64> {
     let demand = wp.channel_demand(cfg, port);
     let mem_total: f64 = demand.iter().sum();
     let ai = wp.compute / mem_total.max(1e-9);
     let ws: u64 = wp.working_set.values().sum();
-    vec![
+    let f: [f64; FEATURES] = [
         wp.compute / 100.0,
         demand[0],
         demand[1],
@@ -38,7 +41,8 @@ pub fn features_of(wp: &WorkloadProfile, cfg: &NicConfig, port: &PortConfig) -> 
         ai.min(100.0),
         ((ws.max(1)) as f64).log2(),
         wp.mean_pkt_size / 100.0,
-    ]
+    ];
+    f.to_vec()
 }
 
 /// Ground-truth optimal core count by exhaustive sweep (what the paper
@@ -85,15 +89,44 @@ enum SoModel {
 
 /// A trained scale-out (optimal core count) predictor.
 ///
-/// For the GBDT family a Q16.16 quantized companion rides along (absent
-/// in version-1 model files; rebuilt on load). Other families fall back
-/// to f64 at any requested precision.
-#[derive(Serialize, Deserialize)]
+/// For the GBDT family a Q16.16 quantized companion rides along, built
+/// from the f64 ensemble at construction (after training and after
+/// decoding) and never serialized. Other families fall back to f64 at
+/// any requested precision.
 pub struct ScaleoutModel {
     model: SoModel,
     kind: ScaleoutKind,
     max_cores: u32,
     quant: Option<QuantGbdt>,
+}
+
+impl Serialize for ScaleoutModel {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("model".to_string(), self.model.to_value()),
+            ("kind".to_string(), self.kind.to_value()),
+            ("max_cores".to_string(), self.max_cores.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for ScaleoutModel {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let model: SoModel = serde::from_field(v, "model")?;
+        if let SoModel::Gbdt(m) = &model {
+            if m.n_features() > FEATURES {
+                return Err(Error(format!(
+                    "GBDT splits on feature {} of a {FEATURES}-wide feature vector",
+                    m.n_features() - 1
+                )));
+            }
+        }
+        Ok(ScaleoutModel::new(
+            model,
+            serde::from_field(v, "kind")?,
+            serde::from_field(v, "max_cores")?,
+        ))
+    }
 }
 
 /// Builds the training set: synthesized NFs × workload profiles, labeled
@@ -188,6 +221,12 @@ impl ScaleoutModel {
             }
             ScaleoutKind::AutoMl => SoModel::AutoMl(AutoMlRegressor::search(data, 10, seed)),
         };
+        ScaleoutModel::new(model, kind, cfg.cores)
+    }
+
+    /// Assembles a model and builds its quantized companion — the one
+    /// constructor training and decoding share.
+    fn new(model: SoModel, kind: ScaleoutKind, max_cores: u32) -> ScaleoutModel {
         let quant = match &model {
             SoModel::Gbdt(m) => Some(QuantGbdt::quantize(m)),
             _ => None,
@@ -195,7 +234,7 @@ impl ScaleoutModel {
         ScaleoutModel {
             model,
             kind,
-            max_cores: cfg.cores,
+            max_cores,
             quant,
         }
     }
@@ -203,16 +242,6 @@ impl ScaleoutModel {
     /// The model family used.
     pub fn kind(&self) -> ScaleoutKind {
         self.kind
-    }
-
-    /// Rebuilds the quantized companion from the f64 ensemble if it is
-    /// missing — used after loading a version-1 model file.
-    pub fn ensure_quantized(&mut self) {
-        if self.quant.is_none() {
-            if let SoModel::Gbdt(m) = &self.model {
-                self.quant = Some(QuantGbdt::quantize(m));
-            }
-        }
     }
 
     /// The [`Regressor`] serving a given precision (f64 reference unless

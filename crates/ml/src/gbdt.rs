@@ -77,6 +77,16 @@ impl GbdtRegressor {
         self.base + self.shrinkage * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
     }
 
+    /// The narrowest input the ensemble can evaluate: one past the
+    /// largest feature any of its splits tests.
+    pub fn n_features(&self) -> usize {
+        self.trees
+            .iter()
+            .map(RegressionTree::n_features)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Number of fitted trees.
     pub fn len(&self) -> usize {
         self.trees.len()

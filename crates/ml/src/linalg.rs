@@ -2,10 +2,13 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// A dense row-major `f64` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Decoding checks `data.len() == rows * cols`, so every accessor below
+/// stays inside `data` for a decoded matrix.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     /// Number of rows.
     pub rows: usize,
@@ -13,6 +16,25 @@ pub struct Matrix {
     pub cols: usize,
     /// Row-major storage (`data[r * cols + c]`).
     pub data: Vec<f64>,
+}
+
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let m = Matrix {
+            rows: serde::from_field(v, "rows")?,
+            cols: serde::from_field(v, "cols")?,
+            data: serde::from_field(v, "data")?,
+        };
+        if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
+            return Err(Error(format!(
+                "{}x{} matrix holds {} values",
+                m.rows,
+                m.cols,
+                m.data.len()
+            )));
+        }
+        Ok(m)
+    }
 }
 
 impl Matrix {

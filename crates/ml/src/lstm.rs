@@ -9,7 +9,7 @@
 use clara_obs as obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::linalg::{clip_grad, sigmoid, Adam, Matrix};
 
@@ -50,7 +50,11 @@ impl Default for LstmConfig {
 }
 
 /// An LSTM sequence regressor with a two-layer FC head.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Decoding checks every tensor's shape against the config and rejects
+/// zero dimensions, so inference and [`crate::quant::QuantLstm::quantize`]
+/// index only inside the weights.
+#[derive(Debug, Clone, Serialize)]
 pub struct LstmRegressor {
     pub(crate) cfg: LstmConfig,
     /// Input weights, `4*hidden x vocab` (one-hot input = column lookup).
@@ -70,6 +74,68 @@ pub struct LstmRegressor {
     /// Target standardization (fit during training).
     pub(crate) y_mean: Vec<f64>,
     pub(crate) y_std: Vec<f64>,
+}
+
+impl Deserialize for LstmRegressor {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let m = LstmRegressor {
+            cfg: serde::from_field(v, "cfg")?,
+            wx: serde::from_field(v, "wx")?,
+            wh: serde::from_field(v, "wh")?,
+            b: serde::from_field(v, "b")?,
+            w1: serde::from_field(v, "w1")?,
+            b1: serde::from_field(v, "b1")?,
+            w2: serde::from_field(v, "w2")?,
+            b2: serde::from_field(v, "b2")?,
+            y_mean: serde::from_field(v, "y_mean")?,
+            y_std: serde::from_field(v, "y_std")?,
+        };
+        let LstmConfig {
+            vocab,
+            hidden: h,
+            fc_hidden: fc,
+            outputs: out,
+            ..
+        } = m.cfg;
+        if vocab == 0 || h == 0 || fc == 0 || out == 0 {
+            return Err(Error(format!(
+                "LSTM config has a zero dimension (vocab {vocab}, hidden {h}, fc_hidden {fc}, \
+                 outputs {out})"
+            )));
+        }
+        let gates = h
+            .checked_mul(4)
+            .ok_or_else(|| Error(format!("LSTM hidden width {h} overflows")))?;
+        let matrices = [
+            ("wx", &m.wx, gates, vocab),
+            ("wh", &m.wh, gates, h),
+            ("w1", &m.w1, fc, h),
+            ("w2", &m.w2, out, fc),
+        ];
+        for (name, w, rows, cols) in matrices {
+            if (w.rows, w.cols) != (rows, cols) {
+                return Err(Error(format!(
+                    "LSTM `{name}` is {}x{}, config needs {rows}x{cols}",
+                    w.rows, w.cols
+                )));
+            }
+        }
+        let vectors = [
+            ("b", m.b.len(), gates),
+            ("b1", m.b1.len(), fc),
+            ("b2", m.b2.len(), out),
+            ("y_mean", m.y_mean.len(), out),
+            ("y_std", m.y_std.len(), out),
+        ];
+        for (name, len, want) in vectors {
+            if len != want {
+                return Err(Error(format!(
+                    "LSTM `{name}` has {len} values, config needs {want}"
+                )));
+            }
+        }
+        Ok(m)
+    }
 }
 
 struct StepCache {

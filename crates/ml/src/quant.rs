@@ -38,7 +38,6 @@ use crate::gbdt::GbdtRegressor;
 use crate::lstm::LstmRegressor;
 use crate::mlp::{Loss, Mlp};
 use crate::regressor::{Regressor, RegressorInput};
-use crate::tree::FlatNode;
 
 /// Numeric precision for model inference.
 ///
@@ -243,7 +242,7 @@ struct Scratch {
 /// Only the first regression output is evaluated (every Clara predictor
 /// trains with `outputs == 1`); the de-standardization stats stay in f64
 /// because they scale the final scalar, not the recurrence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantLstm {
     vocab: usize,
     hidden: usize,
@@ -468,7 +467,7 @@ impl Regressor for QuantLstm {
 }
 
 /// A row-major Q16.16 weight matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QMatrix {
     /// Output dimensionality of the layer.
     pub rows: usize,
@@ -480,7 +479,7 @@ pub struct QMatrix {
 
 /// Q16.16 twin of a scalar-regression [`Mlp`] (ReLU hidden layers,
 /// linear output, de-standardization in f64).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantMlp {
     weights: Vec<QMatrix>,
     biases: Vec<Vec<i32>>,
@@ -549,21 +548,22 @@ impl Regressor for QuantMlp {
     }
 }
 
-/// One flattened tree node: `feat < 0` marks a leaf whose `q` holds the
-/// shrinkage-scaled leaf value; otherwise `q` is the split threshold and
-/// `left`/`right` index into the node array.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One tree node in [`crate::tree::RegressionTree`]'s preorder layout:
+/// the left child is the next node, `right == 0` marks a leaf whose `q`
+/// holds the shrinkage-scaled leaf value; otherwise `q` is the split
+/// threshold.
+#[derive(Debug, Clone)]
 pub struct QNode {
-    feat: i32,
+    feat: usize,
     q: i32,
-    left: u32,
-    right: u32,
+    right: usize,
 }
 
-/// Q16.16 twin of [`GbdtRegressor`]: array-flattened trees, quantized
-/// thresholds, leaf values pre-scaled by the shrinkage at quantize time
-/// so prediction is one `i64` sum over leaves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Q16.16 twin of [`GbdtRegressor`]: the f64 trees' preorder arrays
+/// zipped into one node array per tree, quantized thresholds, leaf
+/// values pre-scaled by the shrinkage at quantize time so prediction is
+/// one `i64` sum over leaves.
+#[derive(Debug, Clone)]
 pub struct QuantGbdt {
     base_q: i64,
     trees: Vec<Vec<QNode>>,
@@ -578,26 +578,18 @@ impl QuantGbdt {
                 .trees
                 .iter()
                 .map(|t| {
-                    t.flatten()
-                        .iter()
-                        .map(|n| match n {
-                            FlatNode::Leaf { value } => QNode {
-                                feat: -1,
-                                q: to_q(m.shrinkage * value),
-                                left: 0,
-                                right: 0,
-                            },
-                            FlatNode::Split {
-                                feat,
-                                thresh,
-                                left,
-                                right,
-                            } => QNode {
-                                feat: *feat as i32,
-                                q: to_q(*thresh),
-                                left: *left as u32,
-                                right: *right as u32,
-                            },
+                    (0..t.value.len())
+                        .map(|i| {
+                            let leaf = t.right[i] == 0;
+                            QNode {
+                                feat: t.feat[i],
+                                q: to_q(if leaf {
+                                    m.shrinkage * t.value[i]
+                                } else {
+                                    t.value[i]
+                                }),
+                                right: t.right[i],
+                            }
                         })
                         .collect()
                 })
@@ -613,15 +605,11 @@ impl QuantGbdt {
             let mut i = 0usize;
             loop {
                 let n = &t[i];
-                if n.feat < 0 {
+                if n.right == 0 {
                     acc += n.q as i64;
                     break;
                 }
-                i = if xq[n.feat as usize] <= n.q {
-                    n.left as usize
-                } else {
-                    n.right as usize
-                };
+                i = if xq[n.feat] <= n.q { i + 1 } else { n.right };
             }
         }
         acc as f64 / ONE_Q as f64
@@ -781,16 +769,5 @@ mod tests {
                 "gbdt drifted at {row:?}"
             );
         }
-    }
-
-    #[test]
-    fn quantized_models_survive_serde() {
-        let q = QuantLstm::quantize(&toy_lstm());
-        let seq = [1usize, 4, 7, 2];
-        let back: QuantLstm = from_str(&to_string(&q).unwrap()).unwrap();
-        assert_eq!(
-            back.predict_tokens(&seq).to_bits(),
-            q.predict_tokens(&seq).to_bits()
-        );
     }
 }

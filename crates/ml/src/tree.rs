@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Tree growth limits.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -25,47 +25,6 @@ impl Default for TreeConfig {
             max_depth: 6,
             min_split: 4,
             min_leaf: 2,
-        }
-    }
-}
-
-/// A tree node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feat: usize,
-        thresh: f64,
-        left: Box<Node>,
-        right: Box<Node>,
-    },
-}
-
-impl Node {
-    fn eval(&self, x: &[f64]) -> f64 {
-        match self {
-            Node::Leaf { value } => *value,
-            Node::Split {
-                feat,
-                thresh,
-                left,
-                right,
-            } => {
-                if x[*feat] <= *thresh {
-                    left.eval(x)
-                } else {
-                    right.eval(x)
-                }
-            }
-        }
-    }
-
-    fn depth(&self) -> usize {
-        match self {
-            Node::Leaf { .. } => 0,
-            Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
         }
     }
 }
@@ -122,6 +81,7 @@ fn best_split(
 
 #[allow(clippy::too_many_arguments)]
 fn grow(
+    out: &mut RegressionTree,
     x: &[Vec<f64>],
     y: &[f64],
     rows: &[usize],
@@ -130,10 +90,10 @@ fn grow(
     feature_pool: &[usize],
     n_feats: usize,
     rng: &mut Option<&mut StdRng>,
-) -> Node {
+) {
     let mean = rows.iter().map(|&r| y[r]).sum::<f64>() / rows.len().max(1) as f64;
     if depth >= cfg.max_depth || rows.len() < cfg.min_split {
-        return Node::Leaf { value: mean };
+        return out.push(0, mean, 0);
     }
     // Feature subsampling (for forests); deterministic full set otherwise.
     let chosen: Vec<usize> = match rng {
@@ -145,28 +105,66 @@ fn grow(
         }
         _ => feature_pool.to_vec(),
     };
-    match best_split(x, y, rows, &chosen, cfg.min_leaf) {
-        None => Node::Leaf { value: mean },
-        Some((feat, thresh, _)) => {
-            let (l, r): (Vec<usize>, Vec<usize>) =
-                rows.iter().partition(|&&row| x[row][feat] <= thresh);
-            if l.is_empty() || r.is_empty() {
-                return Node::Leaf { value: mean };
-            }
-            Node::Split {
-                feat,
-                thresh,
-                left: Box::new(grow(x, y, &l, cfg, depth + 1, feature_pool, n_feats, rng)),
-                right: Box::new(grow(x, y, &r, cfg, depth + 1, feature_pool, n_feats, rng)),
-            }
-        }
+    let Some((feat, thresh, _)) = best_split(x, y, rows, &chosen, cfg.min_leaf) else {
+        return out.push(0, mean, 0);
+    };
+    let (l, r): (Vec<usize>, Vec<usize>) = rows.iter().partition(|&&row| x[row][feat] <= thresh);
+    if l.is_empty() || r.is_empty() {
+        return out.push(0, mean, 0);
     }
+    // Preorder: the split, its left subtree, then its right subtree.
+    // Forest feature subsampling draws from the RNG in this order.
+    let at = out.value.len();
+    out.push(feat, thresh, 0);
+    grow(out, x, y, &l, cfg, depth + 1, feature_pool, n_feats, rng);
+    out.right[at] = out.value.len();
+    grow(out, x, y, &r, cfg, depth + 1, feature_pool, n_feats, rng);
 }
 
-/// A CART regression tree (variance-reduction splits, mean leaves).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A CART regression tree (variance-reduction splits, mean leaves),
+/// stored as three preorder arrays:
+///
+/// - node `i`'s left child is node `i + 1`;
+/// - `right[i]` is its right child, and `right[i] == 0` marks a leaf (no
+///   node's right child is the root);
+/// - `value[i]` is a split's threshold (`x[feat[i]] <= value[i]` goes
+///   left) or a leaf's prediction; a leaf's `feat` is unused.
+///
+/// Serialized as the three arrays. Decoding checks that they are equal in
+/// length and that every right child lies in `(i + 1, len)`, so every
+/// walk moves forward and ends on a leaf inside the arrays.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RegressionTree {
-    root: Node,
+    pub(crate) feat: Vec<usize>,
+    pub(crate) value: Vec<f64>,
+    pub(crate) right: Vec<usize>,
+}
+
+impl Deserialize for RegressionTree {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let t = RegressionTree {
+            feat: serde::from_field(v, "feat")?,
+            value: serde::from_field(v, "value")?,
+            right: serde::from_field(v, "right")?,
+        };
+        let n = t.value.len();
+        if n == 0 || t.feat.len() != n || t.right.len() != n {
+            return Err(Error(format!(
+                "tree arrays must be non-empty and equal in length (feat {}, value {n}, right {})",
+                t.feat.len(),
+                t.right.len()
+            )));
+        }
+        for (i, &r) in t.right.iter().enumerate() {
+            if r != 0 && (r <= i + 1 || r >= n) {
+                return Err(Error(format!(
+                    "tree node {i}: right child {r} outside ({}, {n})",
+                    i + 1
+                )));
+            }
+        }
+        Ok(t)
+    }
 }
 
 impl RegressionTree {
@@ -198,77 +196,60 @@ impl RegressionTree {
         let d = x[rows[0]].len();
         let pool: Vec<usize> = (0..d).collect();
         let nf = if n_feats == 0 { d } else { n_feats.min(d) };
-        RegressionTree {
-            root: grow(x, y, rows, cfg, 0, &pool, nf, &mut rng),
-        }
+        let mut t = RegressionTree {
+            feat: Vec::new(),
+            value: Vec::new(),
+            right: Vec::new(),
+        };
+        grow(&mut t, x, y, rows, cfg, 0, &pool, nf, &mut rng);
+        t
+    }
+
+    fn push(&mut self, feat: usize, value: f64, right: usize) {
+        self.feat.push(feat);
+        self.value.push(value);
+        self.right.push(right);
     }
 
     /// Predicts for one row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a split on the walk tests a feature `x` does not have.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.root.eval(x)
-    }
-
-    /// Actual depth of the grown tree.
-    pub fn depth(&self) -> usize {
-        self.root.depth()
-    }
-
-    /// Flattens the tree into a preorder node array whose `left`/`right`
-    /// fields index into the array — the layout pointer-free consumers
-    /// (the quantized GBDT) evaluate with an iterative walk.
-    pub fn flatten(&self) -> Vec<FlatNode> {
-        fn go(n: &Node, out: &mut Vec<FlatNode>) -> usize {
-            let at = out.len();
-            match n {
-                Node::Leaf { value } => out.push(FlatNode::Leaf { value: *value }),
-                Node::Split {
-                    feat,
-                    thresh,
-                    left,
-                    right,
-                } => {
-                    out.push(FlatNode::Split {
-                        feat: *feat,
-                        thresh: *thresh,
-                        left: 0,
-                        right: 0,
-                    });
-                    let l = go(left, out);
-                    let r = go(right, out);
-                    if let FlatNode::Split { left, right, .. } = &mut out[at] {
-                        *left = l;
-                        *right = r;
-                    }
-                }
-            }
-            at
+        let mut i = 0;
+        while self.right[i] != 0 {
+            i = if x[self.feat[i]] <= self.value[i] {
+                i + 1
+            } else {
+                self.right[i]
+            };
         }
-        let mut out = Vec::new();
-        go(&self.root, &mut out);
-        out
+        self.value[i]
     }
-}
 
-/// One node of a [`RegressionTree::flatten`] array. Split children are
-/// indices into the same array; the root is index 0.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlatNode {
-    /// Terminal node carrying the regression value.
-    Leaf {
-        /// Mean target of the leaf's training rows.
-        value: f64,
-    },
-    /// Interior `x[feat] <= thresh` split.
-    Split {
-        /// Feature index tested.
-        feat: usize,
-        /// Split threshold (`<=` goes left).
-        thresh: f64,
-        /// Array index of the left child.
-        left: usize,
-        /// Array index of the right child.
-        right: usize,
-    },
+    /// Actual depth of the grown tree (a lone leaf has depth 0).
+    pub fn depth(&self) -> usize {
+        // Children follow their parent, so a backward pass has both
+        // children's depths before it reaches the parent.
+        let mut d = vec![0usize; self.value.len()];
+        for i in (0..d.len()).rev() {
+            if self.right[i] != 0 {
+                d[i] = 1 + d[i + 1].max(d[self.right[i]]);
+            }
+        }
+        d[0]
+    }
+
+    /// The narrowest input this tree can evaluate: one past its largest
+    /// split feature (0 for a lone leaf).
+    pub fn n_features(&self) -> usize {
+        (0..self.value.len())
+            .filter(|&i| self.right[i] != 0)
+            .map(|i| self.feat[i] + 1)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 /// A CART classifier built as one regression tree per class on one-hot
@@ -351,6 +332,59 @@ mod tests {
         let t = RegressionTree::fit(&x, &y, &TreeConfig::default());
         assert_eq!(t.depth(), 0);
         assert_eq!(t.predict(&[100.0]), 7.0);
+    }
+
+    #[test]
+    fn flat_tree_round_trips_through_serde() {
+        let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+        let y: Vec<f64> = x.iter().map(|r| 0.5 * r[0] + r[1]).collect();
+        let t = RegressionTree::fit(&x, &y, &TreeConfig::default());
+        let json = serde_json::to_string(&t).unwrap();
+        assert!(json.starts_with("{\"feat\":["), "three flat arrays: {json}");
+        let back: RegressionTree = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, t);
+        for row in &x {
+            assert_eq!(back.predict(row).to_bits(), t.predict(row).to_bits());
+        }
+    }
+
+    #[test]
+    fn hand_built_tree_walks_and_measures_depth() {
+        // x0 <= 1 ? (x1 <= 2 ? 10 : 20) : 30, in preorder.
+        let t = RegressionTree {
+            feat: vec![0, 1, 0, 0, 0],
+            value: vec![1.0, 2.0, 10.0, 20.0, 30.0],
+            right: vec![4, 3, 0, 0, 0],
+        };
+        assert_eq!(t.depth(), 2);
+        assert_eq!(t.n_features(), 2);
+        assert_eq!(t.predict(&[0.0, 0.0]), 10.0);
+        assert_eq!(t.predict(&[0.0, 5.0]), 20.0);
+        assert_eq!(t.predict(&[3.0, 0.0]), 30.0);
+    }
+
+    #[test]
+    fn decoding_rejects_arrays_a_walk_could_leave() {
+        let decode = |feat: &str, right: &str, value: &str| {
+            serde_json::from_str::<RegressionTree>(&format!(
+                "{{\"feat\":{feat},\"value\":{value},\"right\":{right}}}"
+            ))
+        };
+        let three = "[1.0,2.0,3.0]";
+        assert!(decode("[0,0,0]", "[2,0,0]", three).is_ok());
+        for (feat, right, value) in [
+            ("[]", "[]", "[]"),                              // no root
+            ("[0,0]", "[2,0,0]", three),                     // unequal arrays
+            ("[0,0,0]", "[1,0,0]", three),                   // right child is the left child
+            ("[0,0,0]", "[3,0,0]", three),                   // one past the end
+            ("[0,0,0]", "[2,0,2]", three),                   // points at itself
+            ("[0,0,0,0]", "[3,0,0,1]", "[1.0,2.0,3.0,4.0]"), // points backwards
+        ] {
+            assert!(
+                decode(feat, right, value).is_err(),
+                "feat {feat} right {right} value {value} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub use fingerprint::{fingerprint_bytes, module_fingerprint, trace_fingerprint};
 pub use model::{solve_colocated, solve_perf, PerfPoint};
 pub use port::{Accel, CoalescePlan, PortConfig};
 pub use profile::{
-    profile_recorded, profile_recorded_compiled, profile_workload, record_workload, PacketProfile,
-    RecordedWorkload, WorkloadProfile,
+    profile_recorded, profile_recorded_compiled, profile_workload, profile_workload_compiled,
+    record_workload, PacketProfile, RecordedWorkload, WorkloadProfile,
 };
 pub use sim::{
     chain_global, merge_stage_profiles, optimal_cores, profile_chain, profile_chain_stages,

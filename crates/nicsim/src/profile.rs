@@ -262,13 +262,101 @@ pub fn profile_recorded_compiled(
     cfg: &NicConfig,
 ) -> WorkloadProfile {
     let _span = obs::span!("nicsim-profile", "module={} pkts={}", module.name, rec.entries.len());
-    let mut agg = WorkloadProfile::default();
-    let mut touched: BTreeMap<GlobalId, BTreeSet<u64>> = BTreeMap::new();
-    let mut cam = CamState::new(cfg.cam_entries as usize);
-    let mut drops_total = 0.0;
-
+    let mut costing = Costing::new(module, nic, port, cfg);
     for (flow_id, size, t) in &rec.entries {
-        let p = cost_packet(t, nic, module, port, cfg, *flow_id, &mut cam, &mut touched);
+        costing.add(*flow_id, *size, t);
+    }
+    costing.finish()
+}
+
+/// [`record_workload`] (no setup) and [`profile_recorded_compiled`] in one
+/// pass: each packet is costed as soon as the interpreter has run it, so
+/// no recording is kept. Same profile, counters and span names as the
+/// two calls; the `nicsim-record` span also covers the costing. The
+/// engine's profile miss takes this path: a recording of a heavy NF is
+/// megabytes (2 MB for 400 `cmsketch` packets), allocated and freed per
+/// miss.
+///
+/// # Panics
+///
+/// Panics if the module fails verification or the interpreter hits its
+/// step limit (both indicate element bugs, not user errors).
+pub fn profile_workload_compiled(
+    module: &Module,
+    nic: &NicModule,
+    trace: &Trace,
+    port: &PortConfig,
+    cfg: &NicConfig,
+) -> WorkloadProfile {
+    let mut costing = Costing::new(module, nic, port, cfg);
+    {
+        let _span = obs::span!(
+            "nicsim-record",
+            "module={} pkts={}",
+            module.name,
+            trace.pkts.len()
+        );
+        let mut machine = Machine::new(module).expect("module must verify");
+        for pkt in &trace.pkts {
+            let t = machine.run(pkt).expect("interpreter step limit");
+            costing.add(pkt.flow_id, pkt.size, &t);
+        }
+        let c = counters();
+        c.record_runs.incr();
+        c.pkts_recorded.add(trace.pkts.len() as u64);
+    }
+    let _span = obs::span!(
+        "nicsim-profile",
+        "module={} pkts={}",
+        module.name,
+        trace.pkts.len()
+    );
+    costing.finish()
+}
+
+/// Running totals of one profiling run, fed one packet at a time.
+struct Costing<'a> {
+    module: &'a Module,
+    nic: &'a NicModule,
+    port: &'a PortConfig,
+    cfg: &'a NicConfig,
+    agg: WorkloadProfile,
+    touched: BTreeMap<GlobalId, BTreeSet<u64>>,
+    cam: CamState,
+    drops_total: f64,
+}
+
+impl<'a> Costing<'a> {
+    fn new(
+        module: &'a Module,
+        nic: &'a NicModule,
+        port: &'a PortConfig,
+        cfg: &'a NicConfig,
+    ) -> Costing<'a> {
+        Costing {
+            module,
+            nic,
+            port,
+            cfg,
+            agg: WorkloadProfile::default(),
+            touched: BTreeMap::new(),
+            cam: CamState::new(cfg.cam_entries as usize),
+            drops_total: 0.0,
+        }
+    }
+
+    fn add(&mut self, flow_id: u32, size: u16, t: &ExecTrace) {
+        let p = cost_packet(
+            t,
+            self.nic,
+            self.module,
+            self.port,
+            self.cfg,
+            flow_id,
+            &mut self.cam,
+            &mut self.touched,
+        );
+        let agg = &mut self.agg;
         agg.pkts += 1;
         agg.compute += p.compute_cycles;
         for (a, b) in agg.fixed_accesses.iter_mut().zip(p.fixed_accesses.iter()) {
@@ -277,26 +365,36 @@ pub fn profile_recorded_compiled(
         for (g, a) in p.global_access {
             *agg.global_access.entry(g).or_insert(0.0) += a;
         }
-        agg.mean_pkt_size += f64::from(*size);
-        drops_total += p.drops;
+        agg.mean_pkt_size += f64::from(size);
+        self.drops_total += p.drops;
     }
 
-    // Flush the raw (pre-normalization) totals to the metrics registry.
-    // Each total is a pure function of the profiling inputs and is
-    // rounded to a whole count per run, so the counters reconcile
-    // bit-identically across worker layouts.
-    counters().record_profile(&agg, port, drops_total);
+    fn finish(self) -> WorkloadProfile {
+        let Costing {
+            module,
+            port,
+            mut agg,
+            touched,
+            drops_total,
+            ..
+        } = self;
+        // Flush the raw (pre-normalization) totals to the metrics registry.
+        // Each total is a pure function of the profiling inputs and is
+        // rounded to a whole count per run, so the counters reconcile
+        // bit-identically across worker layouts.
+        counters().record_profile(&agg, port, drops_total);
 
-    let n = agg.pkts.max(1) as f64;
-    agg.compute /= n;
-    agg.fixed_accesses.iter_mut().for_each(|a| *a /= n);
-    agg.global_access.values_mut().for_each(|a| *a /= n);
-    agg.mean_pkt_size /= n;
-    for (g, set) in touched {
-        let entry_bytes = module.global(g).map_or(4, |d| u64::from(d.entry_bytes));
-        agg.working_set.insert(g, set.len() as u64 * entry_bytes);
+        let n = agg.pkts.max(1) as f64;
+        agg.compute /= n;
+        agg.fixed_accesses.iter_mut().for_each(|a| *a /= n);
+        agg.global_access.values_mut().for_each(|a| *a /= n);
+        agg.mean_pkt_size /= n;
+        for (g, set) in touched {
+            let entry_bytes = module.global(g).map_or(4, |d| u64::from(d.entry_bytes));
+            agg.working_set.insert(g, set.len() as u64 * entry_bytes);
+        }
+        agg
     }
-    agg
 }
 
 /// Profiles a workload: records interpreter traces and costs them.
@@ -566,6 +664,26 @@ mod tests {
     ) -> WorkloadProfile {
         let trace = Trace::generate(spec, n, 42);
         profile_workload(&e.module, &trace, port, &NicConfig::default(), |_| {})
+    }
+
+    #[test]
+    fn streamed_profile_equals_record_then_cost() {
+        let cfg = NicConfig::default();
+        let port = PortConfig::naive();
+        for e in click_model::extended_corpus() {
+            let nic = nfcc::compile_module(&e.module);
+            for spec in [WorkloadSpec::large_flows(), WorkloadSpec::small_flows()] {
+                let trace = Trace::generate(&spec, 150, 9);
+                let rec = record_workload(&e.module, &trace, |_| {});
+                assert_eq!(
+                    profile_workload_compiled(&e.module, &nic, &trace, &port, &cfg),
+                    profile_recorded_compiled(&e.module, &nic, &rec, &port, &cfg),
+                    "{} on {}",
+                    e.name(),
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,12 @@ use clara_repro::trafgen::WorkloadSpec;
 /// globals; tests in this binary serialize on this lock.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`ENGINE_LOCK`], ignoring poison: one test's failure must report
+/// as one failure, not cascade into the others.
+fn engine_lock() -> std::sync::MutexGuard<'static, ()> {
+    ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("clara-cache-it-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -42,7 +48,7 @@ fn elements() -> Vec<Module> {
 
 #[test]
 fn warm_cache_run_recomputes_nothing_and_reports_identically() {
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     let dir = tmp_dir("warm");
     let modules = elements();
     let workloads = [WorkloadSpec::large_flows()];
@@ -98,7 +104,7 @@ fn warm_cache_run_recomputes_nothing_and_reports_identically() {
 #[test]
 fn disk_cache_isolates_backends() {
     use clara_repro::hal::{self, Backend as _};
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     let dir = tmp_dir("backend-iso");
     let modules = elements();
     let trace = clara_repro::trafgen::Trace::generate(&WorkloadSpec::large_flows(), 50, 5);
@@ -165,7 +171,7 @@ fn disk_cache_isolates_backends() {
 
 #[test]
 fn corrupt_artifacts_recompute_silently_and_fail_verify_loudly() {
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     let dir = tmp_dir("corrupt");
     let modules = elements();
     let workloads = [WorkloadSpec::large_flows()];
@@ -237,7 +243,7 @@ fn corrupt_artifacts_recompute_silently_and_fail_verify_loudly() {
 
 #[test]
 fn clara_cache_dir_env_override_reaches_the_engine() {
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     let dir = tmp_dir("env");
     engine::configure(&EngineOptions::default());
     std::env::set_var("CLARA_CACHE_DIR", &dir);
@@ -265,7 +271,7 @@ fn clara_cache_dir_env_override_reaches_the_engine() {
 /// after its one release of grace.)
 #[test]
 fn separate_engine_handles_share_the_process_global_caches() {
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     engine::configure(&EngineOptions::default());
     let module = elements().remove(0);
     let trace = clara_repro::trafgen::Trace::generate(&WorkloadSpec::large_flows(), 40, 2);
@@ -288,4 +294,56 @@ fn separate_engine_handles_share_the_process_global_caches() {
         "the second handle's lookup must hit the first handle's cache entry"
     );
     assert_eq!(stats_after.profile_misses, stats_before.profile_misses);
+}
+
+/// The in-process profile cache is bounded: a miss on a full cache
+/// ([`engine::PROFILE_CACHE_CAP`] entries) empties it before inserting.
+/// Every distinct trace counts as a miss, a trace inserted after the cap
+/// filled still hits on its next lookup, the first trace was dropped (the
+/// cache did not keep every key), and the profile a full cache computes
+/// equals the one an empty cache computes.
+#[test]
+fn profile_cache_stops_growing_at_its_cap() {
+    let _g = engine_lock();
+    engine::configure(&EngineOptions::default());
+    let engine = Engine::new();
+    engine.clear_caches();
+    let module = elements().remove(0);
+    let port = PortConfig::naive();
+    let cfg = NicConfig::default();
+    let trace =
+        |seed: u64| clara_repro::trafgen::Trace::generate(&WorkloadSpec::large_flows(), 4, seed);
+    let distinct = engine::PROFILE_CACHE_CAP as u64 + 8;
+
+    let before = engine.stats();
+    for seed in 0..distinct {
+        engine.profile_cached(&module, &trace(seed), &port, &cfg);
+    }
+    let filled = engine.stats();
+    assert_eq!(filled.profile_misses - before.profile_misses, distinct);
+    assert_eq!(filled.profile_hits, before.profile_hits);
+
+    let recent = engine.profile_cached(&module, &trace(distinct - 1), &port, &cfg);
+    let again = engine.stats();
+    assert_eq!(
+        again.profile_hits,
+        filled.profile_hits + 1,
+        "a key inserted past the cap stays cached"
+    );
+
+    let oldest = engine.profile_cached(&module, &trace(0), &port, &cfg);
+    let past = engine.stats();
+    assert_eq!(
+        past.profile_misses,
+        again.profile_misses + 1,
+        "the cache dropped its first key instead of growing past the cap"
+    );
+    assert_eq!(past.profile_hits, again.profile_hits);
+
+    engine.clear_caches();
+    for (seed, seen) in [(distinct - 1, recent), (0, oldest)] {
+        let fresh = engine.profile_cached(&module, &trace(seed), &port, &cfg);
+        assert_eq!(seen, fresh, "a full cache computes the same profile");
+    }
+    engine.clear_caches();
 }

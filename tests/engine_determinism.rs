@@ -21,6 +21,12 @@ use clara_repro::trafgen::WorkloadSpec;
 /// separate threads, so every test that flips it holds this lock.
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`THREADS_LOCK`], ignoring poison: one test's failure must report
+/// as one failure, not cascade into the others.
+fn threads_lock() -> std::sync::MutexGuard<'static, ()> {
+    THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Three corpus elements of different character: CRC loops, plain
 /// stateful counting, and an LPM table.
 fn elements() -> Vec<Module> {
@@ -51,7 +57,7 @@ fn serial_then_parallel<R>(f: impl Fn() -> R) -> (R, R) {
 
 #[test]
 fn profile_matrix_is_bit_identical_across_worker_counts() {
-    let _g = THREADS_LOCK.lock().unwrap();
+    let _g = threads_lock();
     let modules = elements();
     let workloads = [
         WorkloadSpec::large_flows(),
@@ -79,7 +85,7 @@ fn profile_matrix_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn block_samples_are_bit_identical_across_worker_counts() {
-    let _g = THREADS_LOCK.lock().unwrap();
+    let _g = threads_lock();
     for seed in [3u64, 8] {
         let modules = clara_repro::synth::synth_corpus(10, true, seed);
         let (serial, parallel) = serial_then_parallel(|| block_samples(&modules));
@@ -89,7 +95,7 @@ fn block_samples_are_bit_identical_across_worker_counts() {
 
 #[test]
 fn scaleout_training_set_is_bit_identical_across_worker_counts() {
-    let _g = THREADS_LOCK.lock().unwrap();
+    let _g = threads_lock();
     let cfg = NicConfig::default();
     for seed in [5u64, 21] {
         let (serial, parallel) = serial_then_parallel(|| training_set(6, seed, &cfg));
@@ -101,7 +107,7 @@ fn scaleout_training_set_is_bit_identical_across_worker_counts() {
 #[test]
 fn trained_pipeline_is_bit_identical_across_worker_counts() {
     use clara_repro::clara::{Clara, ClaraConfig};
-    let _g = THREADS_LOCK.lock().unwrap();
+    let _g = threads_lock();
     let cfg = ClaraConfig::fast(17)
         .to_builder()
         .predict_programs(12)
@@ -121,7 +127,7 @@ fn trained_pipeline_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn deterministic_run_report_is_byte_identical_across_worker_counts() {
-    let _g = THREADS_LOCK.lock().unwrap();
+    let _g = threads_lock();
     let modules = elements();
     let workloads = [WorkloadSpec::large_flows()];
     let cfg = NicConfig::default();
@@ -162,7 +168,7 @@ fn deterministic_run_report_is_byte_identical_across_worker_counts() {
 fn faulted_training_within_retry_budget_is_bit_identical_to_fault_free() {
     use clara_repro::clara::engine::{EngineOptions, FaultPlan};
     use clara_repro::clara::{Clara, ClaraConfig};
-    let _g = THREADS_LOCK.lock().unwrap();
+    let _g = threads_lock();
     let small = |engine: EngineOptions| {
         ClaraConfig::fast(29)
             .to_builder()
@@ -206,7 +212,7 @@ fn faulted_training_within_retry_budget_is_bit_identical_to_fault_free() {
 
 #[test]
 fn par_map_preserves_input_order() {
-    let _g = THREADS_LOCK.lock().unwrap();
+    let _g = threads_lock();
     engine::set_threads(4);
     let items: Vec<u64> = (0..257).collect();
     let out = engine::par_map("order-test", &items, |i, &x| (i as u64, x * x));

@@ -13,6 +13,12 @@ use clara_repro::trafgen::{Trace, WorkloadSpec};
 /// serialize on this lock and restore the defaults before releasing it.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`ENGINE_LOCK`], ignoring poison: one test's failure must report
+/// as one failure, not cascade into the others.
+fn engine_lock() -> std::sync::MutexGuard<'static, ()> {
+    ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn tiny(engine_opts: EngineOptions) -> ClaraConfig {
     ClaraConfig::fast(31)
         .to_builder()
@@ -26,7 +32,7 @@ fn tiny(engine_opts: EngineOptions) -> ClaraConfig {
 
 #[test]
 fn over_budget_faults_degrade_training_with_exact_counts() {
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     // depth 9 with a retry budget of 1: every selected Panic/Error task
     // fails permanently (Stall tasks still succeed — a stall delays the
     // attempt, it does not fail it).
@@ -60,7 +66,7 @@ fn over_budget_faults_degrade_training_with_exact_counts() {
 
 #[test]
 fn within_budget_faults_still_produce_a_pipeline() {
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     // depth 1 ≤ retries 2: every fault retries out.
     let plan = FaultPlan::new(12, 0.3);
     let opts = EngineOptions::builder().retries(2).faults(plan).build();
@@ -80,7 +86,7 @@ fn within_budget_faults_still_produce_a_pipeline() {
 
 #[test]
 fn analyze_profile_fault_surfaces_as_degraded() {
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     engine::Engine::new().clear_caches();
     let clara = Clara::train(&tiny(EngineOptions::default())).expect("clean train");
     // Pick a seed whose injection for ("analyze-profile", task 0) is a
@@ -113,7 +119,7 @@ fn analyze_profile_fault_surfaces_as_degraded() {
 
 #[test]
 fn clara_faults_env_override_reaches_the_engine() {
-    let _g = ENGINE_LOCK.lock().unwrap();
+    let _g = engine_lock();
     engine::configure(&EngineOptions::default());
     // Deterministically pick an env plan that permanently fails at least
     // one task of this stage under a zero-retry budget.

@@ -24,6 +24,12 @@ use clara_repro::trafgen::{Schedule, WorkloadSpec};
 /// this lock (same pattern as `engine_determinism.rs`).
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`THREADS_LOCK`], ignoring poison: one test's failure must report
+/// as one failure, not cascade into the others.
+fn threads_lock() -> std::sync::MutexGuard<'static, ()> {
+    THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The five flow-table NFs added with the stateful corpus engine.
 fn flow_modules() -> Vec<Module> {
     [
@@ -77,7 +83,7 @@ proptest! {
     /// made) fingerprint-match bit for bit.
     #[test]
     fn flow_eviction_order_is_deterministic_across_worker_counts(seed in 0u64..1000) {
-        let _g = THREADS_LOCK.lock().unwrap();
+        let _g = threads_lock();
         let modules = flow_modules();
         let workloads = [
             WorkloadSpec::small_flows().with_flows(4096),

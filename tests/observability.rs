@@ -18,6 +18,12 @@ use clara_repro::trafgen::{Trace, WorkloadSpec};
 /// process globals.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`OBS_LOCK`], ignoring poison: one test's failure must report
+/// as one failure, not cascade into the others.
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn corpus_module(name: &str) -> Module {
     clara_repro::click::corpus()
         .into_iter()
@@ -30,7 +36,7 @@ fn corpus_module(name: &str) -> Module {
 /// the single-flight caches make hit/miss counts exact.
 #[test]
 fn cache_counters_reconcile_with_engine_stats() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     engine::Engine::new().clear_caches();
     obs::reset();
 
@@ -60,7 +66,7 @@ fn cache_counters_reconcile_with_engine_stats() {
 /// span (via `obs::attach`), exactly as they would in a serial run.
 #[test]
 fn worker_spans_nest_under_the_stage_span() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     engine::set_threads(2);
     engine::Engine::new().clear_caches();
     obs::enable();
@@ -89,7 +95,7 @@ fn worker_spans_nest_under_the_stage_span() {
 /// through the workspace's JSON parser.
 #[test]
 fn run_report_json_round_trips() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     obs::enable();
     obs::reset();
 
@@ -120,7 +126,7 @@ fn run_report_json_round_trips() {
 /// versioned persistence paths, including every error variant.
 #[test]
 fn train_report_sink_and_versioned_persistence() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let dir = std::env::temp_dir().join("clara_obs_it");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -167,8 +173,9 @@ fn train_report_sink_and_versioned_persistence() {
 
     // A future format version is rejected, not misread.
     let saved = std::fs::read_to_string(&model_path).expect("saved model readable");
-    assert!(saved.contains("\"format_version\":2"), "envelope carries the version");
-    let bumped = saved.replacen("\"format_version\":2", "\"format_version\":999", 1);
+    let version = format!("\"format_version\":{MODEL_FORMAT_VERSION}");
+    assert!(saved.contains(&version), "envelope carries the version");
+    let bumped = saved.replacen(&version, "\"format_version\":999", 1);
     std::fs::write(&model_path, bumped).expect("rewrite model");
     match Clara::load(&model_path) {
         Err(ClaraError::UnsupportedVersion { found, supported }) => {

@@ -34,6 +34,12 @@ use clara_repro::trafgen::{Trace, WorkloadSpec};
 /// from interleaving with each other.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`OBS_LOCK`], ignoring poison: one test's failure must report
+/// as one failure, not cascade into the others.
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// One trained pipeline shared by every facade-level test here.
 fn clara() -> &'static Clara {
     static CLARA: OnceLock<Clara> = OnceLock::new();
@@ -166,7 +172,7 @@ fn placement_matrix_matches_golden() {
 
 #[test]
 fn place_plan_has_the_request_shape_and_beats_greedy() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let req = PlacementRequest::new(["firewall", "mazunat"]);
     let plan = clara().place(&req).expect("feasible request");
     assert_eq!(plan.nfs.len(), 2);
@@ -186,7 +192,7 @@ fn place_plan_has_the_request_shape_and_beats_greedy() {
 
 #[test]
 fn unknown_nf_is_a_typed_placement_error() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let err = clara()
         .place(&PlacementRequest::new(["not-an-nf"]))
         .expect_err("must fail");
@@ -199,7 +205,7 @@ fn unknown_nf_is_a_typed_placement_error() {
 
 #[test]
 fn shifting_replay_resolves_and_renders_deterministically() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let req = PlacementRequest::builder(["mazunat"])
         .replay("shift")
         .epochs(4)
@@ -231,7 +237,7 @@ proptest! {
     /// is exactly zero and the epoch-0 plan survives the whole replay.
     #[test]
     fn steady_replay_never_migrates(seed in 0u64..500, epochs in 2usize..5) {
-        let _g = OBS_LOCK.lock().unwrap();
+        let _g = obs_lock();
         let req = PlacementRequest::builder(["udpcount"])
             .seed(seed)
             .packets(200)

@@ -19,12 +19,18 @@ use clara_repro::trafgen::{Trace, WorkloadSpec};
 /// binary serialize on this lock.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`ENGINE_LOCK`], ignoring poison: one test's failure must report
+/// as one failure, not cascade into the others.
+fn engine_lock() -> std::sync::MutexGuard<'static, ()> {
+    ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn cache_hit_equals_cache_miss_equals_direct(seed in 0u64..3000) {
-        let _g = ENGINE_LOCK.lock().unwrap();
+        let _g = engine_lock();
         let m = clara_repro::synth::synth_corpus(1, true, seed).remove(0);
         let trace = Trace::generate(&WorkloadSpec::imix(), 60, seed);
         let cfg = NicConfig::default();
@@ -54,7 +60,7 @@ proptest! {
         rate in 0.0f64..=1.0,
         workers in 1usize..=4,
     ) {
-        let _g = ENGINE_LOCK.lock().unwrap();
+        let _g = engine_lock();
         let items: Vec<u64> = (0..48).collect();
         let work = |i: usize, x: &u64| x.wrapping_mul(0x9e3779b97f4a7c15) ^ i as u64;
 

@@ -4,10 +4,11 @@
 //! tolerance of the f64 reference across the full extended corpus and
 //! the suggested offload levels (core counts) are corpus-identical
 //! between precisions; (b) the per-NF f64-vs-q16 wMAPE deltas are
-//! pinned in a golden file (`CLARA_BLESS=1` regenerates); (c) v2 model
-//! envelopes round-trip with their quantized twins, v1 envelopes still
-//! load as f64 and rebuild the twins, and a future version is still
-//! `UnsupportedVersion`; (d) the tolerance also holds on synthesized
+//! pinned in a golden file (`CLARA_BLESS=1` regenerates); (c) v3 model
+//! envelopes carry only f64 weights and round-trip both precisions bit
+//! for bit (the quantized twins are rebuilt on load), every other version
+//! is `UnsupportedVersion`, and corrupt model sections are typed `Format`
+//! errors, never panics; (d) the tolerance also holds on synthesized
 //! (out-of-corpus) modules, property-tested.
 //!
 //! ```text
@@ -17,8 +18,11 @@
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
+use clara_repro::clara::engine::Engine;
 use clara_repro::clara::quantcheck::{self, QuantcheckConfig};
 use clara_repro::clara::{prepare_module, Clara, ClaraConfig, ClaraError, Precision};
+use clara_repro::nicsim::PortConfig;
+use clara_repro::trafgen::{Trace, WorkloadSpec};
 use proptest::prelude::*;
 use serde::Value;
 
@@ -82,33 +86,59 @@ fn quantcheck_corpus_within_tolerance_and_golden_wmape() {
     check_golden("quant_corpus.txt", &golden);
 }
 
-/// Rewrites the top-level entries of a saved model envelope.
-fn edit_envelope(json: &str, f: impl Fn(&mut Vec<(String, Value)>)) -> String {
+/// Applies `f` to a parsed model envelope and renders it back to JSON.
+fn edit_envelope(json: &str, f: impl Fn(&mut Value)) -> String {
     let mut v = serde_json::parse_value(json).expect("model file parses");
-    match &mut v {
-        Value::Map(entries) => f(entries),
-        other => panic!("model envelope must be a map, got {other:?}"),
-    }
+    assert!(matches!(v, Value::Map(_)), "model envelope must be a map");
+    f(&mut v);
     serde_json::to_string(&v).expect("envelope re-renders")
 }
 
-/// Strips a field from a nested map value.
-fn strip_field(v: &mut Value, name: &str) {
-    if let Value::Map(entries) = v {
-        entries.retain(|(k, _)| k != name);
+/// The value at `path` below `v`: map keys by name, sequence elements by
+/// decimal index.
+fn at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(v, |v, key| match v {
+        Value::Map(entries) => {
+            &mut entries
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("no `{key}` in the envelope"))
+                .1
+        }
+        Value::Seq(items) => &mut items[key.parse::<usize>().expect("sequence index")],
+        other => panic!("cannot index a {} with `{key}`", other.kind()),
+    })
+}
+
+/// Every map key anywhere in `v`.
+fn keys(v: &Value, out: &mut std::collections::BTreeSet<String>) {
+    match v {
+        Value::Map(entries) => {
+            for (k, child) in entries {
+                out.insert(k.clone());
+                keys(child, out);
+            }
+        }
+        Value::Seq(items) => items.iter().for_each(|child| keys(child, out)),
+        _ => {}
     }
 }
 
-/// (c): v2 round-trip preserves both inference paths bit for bit; a v1
-/// envelope (no precision, no quantized twins) still loads as f64 and
-/// rebuilds the twins; version 3 is rejected as `UnsupportedVersion`.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("clara_quant_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+/// (c): the v3 round trip preserves both inference paths bit for bit and
+/// saves neither the quantized twins nor nested tree nodes; v1, v2 and a
+/// future version 4 are all rejected as `UnsupportedVersion`.
 #[test]
 fn model_envelope_versions_round_trip() {
     let clara = clara();
-    let dir = std::env::temp_dir().join(format!("clara_quant_test_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let v2_path = dir.join("model_v2.json");
-    clara.save(&v2_path).expect("save v2 model");
+    let dir = temp_dir("versions");
+    let path = dir.join("model.json");
+    clara.save(&path).expect("save model");
 
     let module = clara_repro::click::elements::cmsketch().module;
     let expect_f64 = clara.predictor.predict_module_compute(&module);
@@ -116,8 +146,12 @@ fn model_envelope_versions_round_trip() {
         .predictor
         .predict_module_compute_prec(&module, Precision::Q16);
 
-    let loaded = Clara::load(&v2_path).expect("v2 model loads");
+    let loaded = Clara::load(&path).expect("v3 model loads");
     assert_eq!(loaded.precision, Precision::F64);
+    assert!(
+        loaded.predictor.has_quantized(),
+        "loading rebuilds the twins"
+    );
     assert_eq!(
         loaded.predictor.predict_module_compute(&module).to_bits(),
         expect_f64.to_bits(),
@@ -129,73 +163,162 @@ fn model_envelope_versions_round_trip() {
             .predict_module_compute_prec(&module, Precision::Q16)
             .to_bits(),
         expect_q16.to_bits(),
-        "quantized twins are integer-exact and must round-trip bit-identically"
+        "twins rebuilt from the f64 weights must match the trained ones bit for bit"
     );
 
-    // A v1 envelope: version 1, no `precision` key, no quantized twins
-    // anywhere in the model sections.
-    let json = std::fs::read_to_string(&v2_path).expect("read saved model");
-    let v1 = edit_envelope(&json, |entries| {
-        entries.retain(|(k, _)| k != "precision");
-        for (k, v) in entries.iter_mut() {
-            match k.as_str() {
-                "format_version" => *v = Value::UInt(1),
-                "models" => {
-                    if let Value::Map(models) = v {
-                        for (_, model) in models.iter_mut() {
-                            strip_field(model, "quant");
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    });
-    let v1_path = dir.join("model_v1.json");
-    std::fs::write(&v1_path, v1).expect("write v1 model");
-    let legacy = Clara::load(&v1_path).expect("v1 model still loads");
-    assert_eq!(
-        legacy.precision,
-        Precision::F64,
-        "v1 envelopes default to the f64 path"
-    );
-    assert!(
-        legacy.predictor.has_quantized(),
-        "loading must rebuild the quantized twins a v1 file lacks"
-    );
-    assert_eq!(
-        legacy.predictor.predict_module_compute(&module).to_bits(),
-        expect_f64.to_bits(),
-        "v1 f64 predictions are unchanged"
-    );
-    assert_eq!(
-        legacy
-            .predictor
-            .predict_module_compute_prec(&module, Precision::Q16)
-            .to_bits(),
-        expect_q16.to_bits(),
-        "twins rebuilt from f64 weights are identical to saved twins"
-    );
-
-    // A future version is rejected with the typed mismatch error.
-    let v3 = edit_envelope(&json, |entries| {
-        for (k, v) in entries.iter_mut() {
-            if k == "format_version" {
-                *v = Value::UInt(3);
-            }
-        }
-    });
-    let v3_path = dir.join("model_v3.json");
-    std::fs::write(&v3_path, v3).expect("write v3 model");
-    match Clara::load(&v3_path) {
-        Err(ClaraError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 3);
-            assert_eq!(supported, clara_repro::clara::MODEL_FORMAT_VERSION);
-        }
-        Err(other) => panic!("version 3 must be UnsupportedVersion, got {other}"),
-        Ok(_) => panic!("version 3 must not load"),
+    let json = std::fs::read_to_string(&path).expect("read saved model");
+    let mut saved = std::collections::BTreeSet::new();
+    keys(&serde_json::parse_value(&json).expect("parses"), &mut saved);
+    for absent in ["quant", "Split", "Leaf"] {
+        assert!(
+            !saved.contains(absent),
+            "a v3 envelope has no `{absent}` key"
+        );
     }
 
+    // Every other version is the typed mismatch error, older and newer.
+    for version in [1u64, 2, 4] {
+        let edited = edit_envelope(&json, |v| {
+            *at(v, &["format_version"]) = Value::UInt(version)
+        });
+        let other = dir.join(format!("model_v{version}.json"));
+        std::fs::write(&other, edited).expect("write edited model");
+        match Clara::load(&other) {
+            Err(e @ ClaraError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, clara_repro::clara::MODEL_FORMAT_VERSION);
+                assert!(e.to_string().contains("re-train"), "{e}");
+            }
+            Err(other) => panic!("version {version} must be UnsupportedVersion, got {other}"),
+            Ok(_) => panic!("version {version} must not load"),
+        }
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// (c): a reloaded pipeline answers exactly like the trained one over the
+/// whole extended corpus at both precisions — the scale-out GBDT's
+/// suggested cores (its twin rebuilt from the flat trees) and the
+/// predictor's compute estimate.
+#[test]
+fn reloaded_pipeline_matches_trained_across_the_corpus() {
+    let clara = clara();
+    let dir = temp_dir("corpus");
+    let path = dir.join("model.json");
+    clara.save(&path).expect("save model");
+    let loaded = Clara::load(&path).expect("model loads");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let port = PortConfig::naive();
+    let trace = Trace::generate(&WorkloadSpec::large_flows(), 120, 7);
+    for e in clara_repro::click::extended_corpus() {
+        let wp = Engine::new().profile_cached(&e.module, &trace, &port, &clara.nic);
+        for &p in Precision::ALL {
+            let trained = clara.scaleout.predict_prec(&wp, &clara.nic, &port, p);
+            let reloaded = loaded.scaleout.predict_prec(&wp, &loaded.nic, &port, p);
+            assert_eq!(
+                trained.expect("finite cores"),
+                reloaded.expect("finite cores"),
+                "{} at {p}: suggested cores",
+                e.name()
+            );
+            assert_eq!(
+                clara
+                    .predictor
+                    .predict_module_compute_prec(&e.module, p)
+                    .to_bits(),
+                loaded
+                    .predictor
+                    .predict_module_compute_prec(&e.module, p)
+                    .to_bits(),
+                "{} at {p}: predicted compute",
+                e.name()
+            );
+        }
+    }
+}
+
+/// Index of the first split node at or after `from` in scale-out tree 0.
+fn split_at_or_after(v: &mut Value, from: usize) -> usize {
+    let Value::Seq(right) = at(v, &SO_TREE0).get("right").expect("right array").clone() else {
+        panic!("`right` must be a sequence");
+    };
+    (from..right.len())
+        .find(|&i| !matches!(right[i], Value::Int(0)))
+        .expect("tree 0 has a split there")
+}
+
+/// Path to the first tree of the saved scale-out GBDT.
+const SO_TREE0: [&str; 7] = ["models", "scaleout", "model", "Gbdt", "0", "trees", "0"];
+
+/// One corruption of a saved model section.
+type Corruption = (&'static str, fn(&mut Value));
+
+/// Corrupt model files are typed `Format` errors from `Clara::load`, and
+/// the CLI exits 1 on them instead of panicking: every shape the decoder
+/// now indexes is checked before the quantized twins are built.
+#[test]
+fn hostile_model_envelopes_are_format_errors() {
+    const LSTM: [&str; 5] = ["models", "predictor", "model", "Lstm", "0"];
+    let table: [Corruption; 6] = [
+        ("truncated LSTM wx.data", |v| {
+            if let Value::Seq(data) = at(v, &[&LSTM[..], &["wx", "data"]].concat()) {
+                data.pop();
+            }
+        }),
+        ("cfg.vocab = 0", |v| {
+            *at(v, &[&LSTM[..], &["cfg", "vocab"]].concat()) = Value::Int(0);
+        }),
+        ("split on feature 99", |v| {
+            let i = split_at_or_after(v, 0);
+            *at(v, &[&SO_TREE0[..], &["feat", &i.to_string()]].concat()) = Value::Int(99);
+        }),
+        ("right index pointing backwards", |v| {
+            let i = split_at_or_after(v, 2);
+            *at(v, &[&SO_TREE0[..], &["right", &i.to_string()]].concat()) = Value::Int(1);
+        }),
+        ("right index one past the end", |v| {
+            let Value::Seq(right) = at(v, &[&SO_TREE0[..], &["right"]].concat()).clone() else {
+                panic!("`right` must be a sequence");
+            };
+            *at(v, &[&SO_TREE0[..], &["right", "0"]].concat()) = Value::Int(right.len() as i64);
+        }),
+        ("unequal tree arrays", |v| {
+            if let Value::Seq(value) = at(v, &[&SO_TREE0[..], &["value"]].concat()) {
+                value.pop();
+            }
+        }),
+    ];
+    let dir = temp_dir("hostile");
+    let good = dir.join("good.json");
+    clara().save(&good).expect("save model");
+    let json = std::fs::read_to_string(&good).expect("read saved model");
+    for (what, corrupt) in table {
+        let path = dir.join("hostile.json");
+        std::fs::write(&path, edit_envelope(&json, corrupt)).expect("write hostile model");
+        match Clara::load(&path) {
+            Err(ClaraError::Format { detail, .. }) => eprintln!("{what}: {detail}"),
+            Err(other) => panic!("{what}: expected a Format error, got {other}"),
+            Ok(_) => panic!("{what}: a corrupt model must not load"),
+        }
+        // Without the decode checks these two panic (in the LSTM twin's
+        // quantize and at scale-out prediction): exit 101 from the CLI
+        // instead of a typed error's 1.
+        if what == "truncated LSTM wx.data" || what == "split on feature 99" {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_clara"))
+                .args(["analyze", "cmsketch", "--model"])
+                .arg(&path)
+                .output()
+                .expect("run clara");
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{what}: clara analyze must exit 1; stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
