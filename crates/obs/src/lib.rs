@@ -12,6 +12,9 @@
 //!   `max`). Counters and gauges are always live — they are bare atomics,
 //!   cheap enough for the simulator's per-profile-run flushes — while
 //!   histograms only record samples when enabled (observing allocates).
+//!   A volatile histogram keeps only its newest
+//!   [`metrics::VOLATILE_WINDOW`] samples, so a long-running process that
+//!   observes per request holds a bounded amount of them.
 //! - **[`RunReport`]**: a snapshot of the span tree plus every metric,
 //!   serialized to JSON. [`RunReport::to_json_deterministic`] drops all
 //!   timing-derived data (and metrics registered as *volatile*) so two

@@ -66,12 +66,54 @@ impl Gauge {
     }
 }
 
+/// Most samples a volatile histogram keeps: the newest `VOLATILE_WINDOW`
+/// observations, each new one overwriting the oldest once the window is
+/// full. A daemon observes per request and reads its histograms only at
+/// shutdown, so keeping every sample would grow its heap without bound.
+/// Deterministic histograms keep every sample: their summaries are part
+/// of byte-identical reports.
+pub const VOLATILE_WINDOW: usize = 1 << 16;
+
+/// A histogram's stored samples: all of them, or for a volatile
+/// histogram a ring of the newest [`VOLATILE_WINDOW`].
+struct Samples {
+    values: Vec<f64>,
+    /// Slot the next sample overwrites once a volatile ring is full.
+    next: usize,
+    volatile: bool,
+}
+
+impl Samples {
+    fn new(volatile: bool) -> Samples {
+        Samples {
+            values: Vec::new(),
+            next: 0,
+            volatile,
+        }
+    }
+
+    fn push(&mut self, v: f64) {
+        if self.volatile && self.values.len() == VOLATILE_WINDOW {
+            self.values[self.next] = v;
+            self.next = (self.next + 1) % VOLATILE_WINDOW;
+        } else {
+            self.values.push(v);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.values.clear();
+        self.next = 0;
+    }
+}
+
 /// A histogram of `f64` samples, summarized as `p50`/`p95`/`p99`/`max`
 /// in run reports. Samples are only recorded while the layer is enabled
-/// (recording allocates).
+/// (recording allocates); a volatile histogram summarizes only its newest
+/// [`VOLATILE_WINDOW`] samples.
 #[derive(Clone)]
 pub struct Histogram {
-    samples: Arc<Mutex<Vec<f64>>>,
+    samples: Arc<Mutex<Samples>>,
 }
 
 impl Histogram {
@@ -83,14 +125,18 @@ impl Histogram {
         self.samples.lock().expect("histogram poisoned").push(v);
     }
 
-    /// Number of recorded samples.
+    /// Number of stored samples.
     pub fn count(&self) -> usize {
-        self.samples.lock().expect("histogram poisoned").len()
+        self.samples
+            .lock()
+            .expect("histogram poisoned")
+            .values
+            .len()
     }
 
-    /// Summary of the recorded samples, or `None` when empty.
+    /// Summary of the stored samples, or `None` when empty.
     pub fn summary(&self) -> Option<HistSummary> {
-        HistSummary::from_samples(&self.samples.lock().expect("histogram poisoned"))
+        HistSummary::from_samples(&self.samples.lock().expect("histogram poisoned").values)
     }
 }
 
@@ -151,7 +197,7 @@ type Registry<T> = OnceLock<Mutex<BTreeMap<String, Registered<T>>>>;
 
 static COUNTERS: Registry<Arc<AtomicU64>> = OnceLock::new();
 static GAUGES: Registry<Arc<AtomicU64>> = OnceLock::new();
-static HISTOGRAMS: Registry<Arc<Mutex<Vec<f64>>>> = OnceLock::new();
+static HISTOGRAMS: Registry<Arc<Mutex<Samples>>> = OnceLock::new();
 
 fn register<T: Clone>(reg: &Registry<T>, name: &str, volatile: bool, fresh: impl FnOnce() -> T) -> T {
     let mut guard = reg.get_or_init(Mutex::default).lock().expect("registry poisoned");
@@ -206,14 +252,18 @@ pub fn volatile_gauge(name: &str) -> Gauge {
 /// Registers (or looks up) a deterministic histogram.
 pub fn histogram(name: &str) -> Histogram {
     Histogram {
-        samples: register(&HISTOGRAMS, name, false, || Arc::new(Mutex::new(Vec::new()))),
+        samples: register(&HISTOGRAMS, name, false, || {
+            Arc::new(Mutex::new(Samples::new(false)))
+        }),
     }
 }
 
 /// Registers (or looks up) a volatile histogram.
 pub fn volatile_histogram(name: &str) -> Histogram {
     Histogram {
-        samples: register(&HISTOGRAMS, name, true, || Arc::new(Mutex::new(Vec::new()))),
+        samples: register(&HISTOGRAMS, name, true, || {
+            Arc::new(Mutex::new(Samples::new(true)))
+        }),
     }
 }
 
@@ -264,7 +314,7 @@ pub(crate) fn histograms_snapshot() -> Vec<(String, HistSummary, bool)> {
         .expect("registry poisoned")
         .iter()
         .filter_map(|(k, r)| {
-            HistSummary::from_samples(&r.cell.lock().expect("histogram poisoned"))
+            HistSummary::from_samples(&r.cell.lock().expect("histogram poisoned").values)
                 .map(|s| (k.clone(), s, r.volatile))
         })
         .collect()

@@ -58,6 +58,41 @@ fn histogram_summary_percentiles() {
 }
 
 #[test]
+fn volatile_histograms_keep_only_the_newest_window() {
+    let _g = locked();
+    obs::enable();
+    obs::reset();
+    let n = obs::metrics::VOLATILE_WINDOW;
+    let volatile = obs::volatile_histogram("test.hist.ring.volatile");
+    let det = obs::histogram("test.hist.ring.det");
+    for v in 0..n + 1000 {
+        volatile.observe(v as f64);
+        det.observe(v as f64);
+    }
+    let newest =
+        obs::HistSummary::from_samples(&(1000..n + 1000).map(|v| v as f64).collect::<Vec<_>>());
+    assert_eq!(volatile.count(), n);
+    assert_eq!(
+        volatile.summary(),
+        newest,
+        "the volatile histogram summarizes exactly the newest {n} samples"
+    );
+    let all = obs::HistSummary::from_samples(&(0..n + 1000).map(|v| v as f64).collect::<Vec<_>>());
+    assert_eq!(det.count(), n + 1000);
+    assert_eq!(
+        det.summary(),
+        all,
+        "the deterministic histogram keeps every sample"
+    );
+    // Reset empties the ring, and it refills from its first slot.
+    obs::reset();
+    volatile.observe(7.0);
+    assert_eq!(volatile.count(), 1);
+    assert_eq!(volatile.summary().map(|s| s.max), Some(7.0));
+    obs::disable();
+}
+
+#[test]
 fn histogram_is_silent_while_disabled() {
     let _g = locked();
     obs::disable();

@@ -62,8 +62,13 @@
 //! failures are `{"v":1,"ok":false,"error":<kind>,"detail":...}` where
 //! `<kind>` is one of the [`ErrorKind`] strings. `overloaded` is the
 //! admission-control rejection (bounded queue at capacity) — it is the
-//! *expected* backpressure signal, not a server fault — and `draining`
-//! is returned for work submitted after a drain began.
+//! *expected* backpressure signal, not a server fault. A `predict` the
+//! daemon has already answered is served from its prediction cache
+//! without queueing, so it never meets `overloaded` or `quota_exceeded`.
+//! `draining` is returned for work submitted after a drain began, and
+//! `bad_request` for a request that does not parse, or that is over
+//! [`crate::transport::MAX_REQUEST_LEN`] or not UTF-8 (the daemon then
+//! closes the connection).
 //!
 //! Response rendering is a pure function of the result data, so a
 //! response served through the daemon's queue and batching machinery is
@@ -168,7 +173,7 @@ pub struct Envelope {
 pub enum ErrorKind {
     /// Bounded queue at capacity; retry later (backpressure, not fault).
     Overloaded,
-    /// Malformed or unsupported request.
+    /// Malformed, unsupported, over-long or non-UTF-8 request.
     BadRequest,
     /// `nf` does not name a corpus element.
     UnknownNf,

@@ -1,20 +1,29 @@
 //! The daemon: TCP + UDS acceptors, per-tenant work queues, sharded
 //! worker pool.
 //!
-//! Life of a request: a connection thread parses the line (or frame —
-//! see [`crate::transport`]), resolves the tenant it runs as, and — for
-//! work ops — tries to enqueue a job. Admission is decided **under the
-//! queue lock** in one linearized step: draining servers answer
-//! `draining`, a full shared queue answers `overloaded`, and a tenant
-//! that filled its own quota answers `quota_exceeded` while everyone
-//! else keeps being admitted. Admitted jobs go onto the tenant's
-//! sub-queue; the connection thread parks on a channel while a worker
-//! picks the job up.
+//! Life of a request: a connection thread reads one request (a line or
+//! a frame — see [`crate::transport`]; either is capped at
+//! [`transport::MAX_REQUEST_LEN`], and an over-long or non-UTF-8 request
+//! is answered `bad_request` and the connection closed), parses it,
+//! resolves the tenant it runs as, and validates the NF and backend.
+//! A `predict` is then looked up in the prediction cache **on the
+//! connection thread**: a hit is rendered and answered right there, with
+//! no queue slot, no worker and no channel; it takes the queue lock only
+//! to check the drain flag and count itself in flight. Every other work
+//! op, and every cache miss, tries to enqueue a job. Admission is
+//! decided **under the queue lock** in one linearized step: draining
+//! servers answer `draining`, a full shared queue answers `overloaded`,
+//! and a tenant that filled its own quota answers `quota_exceeded` while
+//! everyone else keeps being admitted. Both bounds count queued work
+//! only, so cache hits are never refused for load. Admitted jobs go onto
+//! the tenant's sub-queue; the connection thread parks on a channel
+//! while a worker picks the job up.
 //!
 //! Dispatch is **deficit round-robin across tenants**: tenants with
 //! pending jobs form a ring, each visit grants a quantum of
 //! `batch_max` jobs, and unused credit carries (bounded) to the next
-//! visit. A visit coalesces runs of adjacent `predict` jobs bound for
+//! visit. A visit coalesces runs of adjacent `predict` jobs (each a
+//! prediction-cache miss) bound for
 //! the *same device backend at the same precision* into one
 //! [`Clara::predict_batch_on_prec`] call — coalescing never crosses
 //! tenants. Workers are **sharded**: tenant *k* (registration order) is
@@ -34,19 +43,21 @@
 //! Drain (the `drain` op, [`ServerHandle::drain`], or SIGTERM via
 //! [`install_sigterm_drain`]) flips the drain flag **while holding the
 //! queue lock**, so it linearizes against admission: every job admitted
-//! before the flip is answered by the worker pool, every request after
-//! it gets the typed `draining` error, and drain always terminates.
+//! before the flip is answered by the worker pool, every cache hit
+//! admitted before it is answered by its connection thread (drain waits
+//! for both, so its report counts them), every request after it gets the
+//! typed `draining` error, and drain always terminates.
 //! (Checking the flag outside the lock used to leave a window where a
 //! job could be pushed onto a queue whose workers had already observed
 //! empty-and-draining and exited — `await_quiesce` then spun forever.)
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,6 +86,7 @@ pub struct ServeOptions {
     /// Worker threads executing queued jobs.
     pub workers: usize,
     /// Bounded queue capacity; beyond it requests get `overloaded`.
+    /// Only queued work counts: prediction-cache hits never queue.
     pub queue_cap: usize,
     /// Most `predict` jobs coalesced into one batched engine stage;
     /// also the deficit-round-robin quantum.
@@ -159,7 +171,57 @@ struct QueueState {
 /// fixed for the server's lifetime, so this key fully determines the
 /// prediction — and it hashes in nanoseconds, unlike the engine's
 /// serialize-and-FNV content fingerprints.
-type PredictKey = (String, usize, u64, bool, String, Precision);
+type PredictKey = (String, usize, u64, bool, &'static str, Precision);
+
+/// Wire op names, in [`op_index`] order.
+const OPS: [&str; 7] = [
+    "predict", "analyze", "difftest", "place", "register", "stats", "drain",
+];
+
+fn op_index(req: &Request) -> usize {
+    match req {
+        Request::Predict(_) => 0,
+        Request::Analyze(_) => 1,
+        Request::Difftest { .. } => 2,
+        Request::Place(_) => 3,
+        Request::Register(_) => 4,
+        Request::Stats => 5,
+        Request::Drain => 6,
+    }
+}
+
+/// The obs handles every request or predict batch updates, resolved once
+/// at start: a registry lookup takes a process-global lock (and, for the
+/// per-op histograms, a `format!`), which a cache hit would otherwise pay
+/// several times over.
+struct Meters {
+    /// `serve.op.<op>.latency_us`, indexed like [`OPS`].
+    op_latency: [obs::Histogram; 7],
+    batch_size: obs::Histogram,
+    queue_depth: obs::Gauge,
+    predict_ops: obs::Counter,
+    predict_hits: obs::Counter,
+    predict_misses: obs::Counter,
+    draining_rejected: obs::Counter,
+    overloaded: obs::Counter,
+    quota_exceeded: obs::Counter,
+}
+
+impl Meters {
+    fn resolve() -> Meters {
+        Meters {
+            op_latency: OPS.map(|op| obs::volatile_histogram(&format!("serve.op.{op}.latency_us"))),
+            batch_size: obs::volatile_histogram("serve.batch.size"),
+            queue_depth: obs::volatile_gauge("serve.queue.depth"),
+            predict_ops: obs::counter("serve.ops.predict"),
+            predict_hits: obs::counter("serve.cache.predict_hits"),
+            predict_misses: obs::counter("serve.cache.predict_misses"),
+            draining_rejected: obs::volatile_counter("serve.draining.rejected"),
+            overloaded: obs::volatile_counter("serve.overloaded"),
+            quota_exceeded: obs::volatile_counter("serve.quota_exceeded"),
+        }
+    }
+}
 
 /// Most entries the completed-prediction memo holds. Inserts past the
 /// cap are dropped (never evicted), so a burst of distinctly-seeded
@@ -172,12 +234,14 @@ struct Shared {
     /// it per batch costs milliseconds, which would dominate every warm
     /// sub-millisecond predict this daemon exists to serve.
     predictor_fp: u64,
-    /// Completed predictions by spec + route. The engine's own caches
-    /// make the second identical request recompute nothing; this layer
-    /// makes it *re-hash* nothing (the engine keys its caches by
-    /// content fingerprints that serialize the module and trace on
-    /// every lookup, ~100us per request — 30-50% of a warm round trip).
-    predict_cache: Mutex<HashMap<PredictKey, Prediction>>,
+    /// Completed predictions by spec + route, probed by the connection
+    /// thread before anything is queued: a hit is answered there and
+    /// never reaches a worker. The engine's own caches make the second
+    /// identical request recompute nothing; this layer makes it
+    /// *re-hash* nothing (the engine keys its caches by content
+    /// fingerprints that serialize the module and trace on every
+    /// lookup, ~100us per request).
+    predict_cache: RwLock<HashMap<PredictKey, Prediction>>,
     corpus: BTreeMap<String, Module>,
     /// Warm device backends, default (request names none) first.
     backends: Vec<&'static DeviceBackend>,
@@ -192,6 +256,7 @@ struct Shared {
     overloaded: AtomicU64,
     quota_exceeded: AtomicU64,
     errors: AtomicU64,
+    meters: Meters,
     opts: ServeOptions,
     root: obs::SpanHandle,
 }
@@ -219,8 +284,21 @@ impl Shared {
         w.precision.unwrap_or(self.opts.precision)
     }
 
+    /// The prediction-cache key of a validated predict spec.
+    fn predict_key(&self, w: &WorkSpec) -> PredictKey {
+        let backend = self.backend_of(w).expect("validated at admission");
+        (
+            w.nf.clone(),
+            w.packets,
+            w.seed,
+            w.small_flows,
+            backend.name(),
+            self.effective_precision(w),
+        )
+    }
+
     fn queue_gauge(&self, depth: usize) {
-        obs::volatile_gauge("serve.queue.depth").set(depth as f64);
+        self.meters.queue_depth.set(depth as f64);
     }
 
     /// Counts one failed request against the global total and exactly
@@ -332,7 +410,7 @@ impl Server {
         let shared = Arc::new(Shared {
             clara,
             predictor_fp,
-            predict_cache: Mutex::new(HashMap::new()),
+            predict_cache: RwLock::new(HashMap::new()),
             corpus,
             backends,
             registry: Registry::new(workers, opts.queue_cap),
@@ -350,6 +428,7 @@ impl Server {
             overloaded: AtomicU64::new(0),
             quota_exceeded: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            meters: Meters::resolve(),
             opts: opts.clone(),
             root,
         });
@@ -518,67 +597,127 @@ fn uds_accept_loop(listener: &UnixListener, s: &Arc<Shared>) {
 /// client that never reads cannot hold shutdown forever.
 const DRAIN_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// One connection's framing: how a request is read off it and a reply
+/// written back. Everything else about a connection is
+/// [`serve_conn`]'s, shared by both transports.
+trait Codec {
+    /// Reads one request into `buf` (reused for the whole connection),
+    /// borrowed from it. `Ok(None)` is a clean close; `InvalidData` is a
+    /// request over [`transport::MAX_REQUEST_LEN`] or not UTF-8.
+    fn read<'a>(&mut self, buf: &'a mut Vec<u8>) -> io::Result<Option<&'a str>>;
+
+    /// Writes one reply as a single write.
+    fn write(&mut self, reply: String) -> io::Result<()>;
+
+    /// Bounds how long a write may block.
+    fn set_write_timeout(&self, timeout: Duration);
+}
+
+/// JSON lines over TCP.
+struct Lines {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Codec for Lines {
+    fn read<'a>(&mut self, buf: &'a mut Vec<u8>) -> io::Result<Option<&'a str>> {
+        transport::read_request_line(&mut self.reader, buf)
+    }
+
+    fn write(&mut self, mut reply: String) -> io::Result<()> {
+        reply.push('\n');
+        self.writer.write_all(reply.as_bytes())?;
+        self.writer.flush()
+    }
+
+    fn set_write_timeout(&self, timeout: Duration) {
+        let _ = self.writer.set_write_timeout(Some(timeout));
+    }
+}
+
+/// Length-prefixed frames over a Unix-domain socket.
+#[cfg(unix)]
+struct Frames {
+    reader: UnixStream,
+    writer: UnixStream,
+    /// Lives for the whole connection: no allocation per frame written.
+    write_buf: Vec<u8>,
+}
+
+#[cfg(unix)]
+impl Codec for Frames {
+    fn read<'a>(&mut self, buf: &'a mut Vec<u8>) -> io::Result<Option<&'a str>> {
+        transport::read_request_frame(&mut self.reader, buf)
+    }
+
+    fn write(&mut self, reply: String) -> io::Result<()> {
+        transport::write_frame(&mut self.writer, &mut self.write_buf, &reply)
+    }
+
+    fn set_write_timeout(&self, timeout: Duration) {
+        let _ = self.writer.set_write_timeout(Some(timeout));
+    }
+}
+
 fn handle_conn(stream: TcpStream, s: &Arc<Shared>) {
     // One write per response and no Nagle buffering: a request/response
     // protocol of small frames would otherwise serialize on ~40ms
     // delayed-ACK stalls.
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let Ok(writer) = stream.try_clone() else {
+        return;
     };
     let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (mut response, is_drain) = handle_line(&line, s);
-        response.push('\n');
+    serve_conn(Lines { reader, writer }, s);
+}
+
+#[cfg(unix)]
+fn handle_conn_framed(stream: UnixStream, s: &Arc<Shared>) {
+    let Ok(writer) = stream.try_clone() else {
+        return;
+    };
+    serve_conn(
+        Frames {
+            reader: stream,
+            writer,
+            write_buf: Vec::with_capacity(4096),
+        },
+        s,
+    );
+}
+
+/// Answers one connection's requests in order until the client closes,
+/// a write fails, the request cannot be read, or the daemon stops.
+fn serve_conn(mut codec: impl Codec, s: &Arc<Shared>) {
+    // Lives for the whole connection: no allocation per request read.
+    let mut read_buf = Vec::with_capacity(4096);
+    loop {
+        let (reply, is_drain, close) = match codec.read(&mut read_buf) {
+            Ok(Some(req)) if req.trim().is_empty() => continue,
+            Ok(Some(req)) => {
+                let (reply, is_drain) = handle_line(req, s);
+                (reply, is_drain, false)
+            }
+            // Over the size cap or not UTF-8: answered, then closed, since
+            // the rest of the stream can no longer be framed. Like a
+            // parse failure it has no attributable tenant.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                s.count_error(&s.registry.default_tenant());
+                let reply = protocol::error_response(None, ErrorKind::BadRequest, &e.to_string());
+                (reply, false, true)
+            }
+            Ok(None) | Err(_) => return,
+        };
         if is_drain {
-            let _ = writer.set_write_timeout(Some(DRAIN_WRITE_TIMEOUT));
+            codec.set_write_timeout(DRAIN_WRITE_TIMEOUT);
         }
-        let wrote = writer.write_all(response.as_bytes());
-        let _ = writer.flush();
+        let wrote = codec.write(reply);
         if is_drain {
             // Stop only once the report is written (or cannot be): the
             // acceptors exit on this flag, and the process with them.
             s.stopped.store(true, Ordering::SeqCst);
         }
-        if wrote.is_err() || s.stopped.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-#[cfg(unix)]
-fn handle_conn_framed(stream: UnixStream, s: &Arc<Shared>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    // Both buffers live for the whole connection: zero per-request
-    // allocation on the framing path (the point of the uds transport).
-    let mut read_buf = Vec::with_capacity(4096);
-    let mut write_buf = Vec::with_capacity(4096);
-    loop {
-        let line = match transport::read_frame(&mut reader, &mut read_buf) {
-            Ok(Some(line)) => line,
-            Ok(None) | Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, is_drain) = handle_line(&line, s);
-        if is_drain {
-            let _ = writer.set_write_timeout(Some(DRAIN_WRITE_TIMEOUT));
-        }
-        let wrote = transport::write_frame(&mut writer, &mut write_buf, &response);
-        if is_drain {
-            s.stopped.store(true, Ordering::SeqCst);
-        }
-        if wrote.is_err() || s.stopped.load(Ordering::SeqCst) {
+        if wrote.is_err() || close || s.stopped.load(Ordering::SeqCst) {
             return;
         }
     }
@@ -597,19 +736,10 @@ fn handle_line(line: &str, s: &Arc<Shared>) -> (String, bool) {
             return (protocol::error_response(None, ErrorKind::BadRequest, &detail), false);
         }
     };
-    let op_name = match &env.req {
-        Request::Predict(_) => "predict",
-        Request::Analyze(_) => "analyze",
-        Request::Difftest { .. } => "difftest",
-        Request::Place(_) => "place",
-        Request::Register(_) => "register",
-        Request::Stats => "stats",
-        Request::Drain => "drain",
-    };
+    let op = op_index(&env.req);
     let response = dispatch(env, s);
-    obs::volatile_histogram(&format!("serve.op.{op_name}.latency_us"))
-        .observe(started.elapsed().as_micros() as f64);
-    (response, op_name == "drain")
+    s.meters.op_latency[op].observe(started.elapsed().as_micros() as f64);
+    (response, OPS[op] == "drain")
 }
 
 fn dispatch(env: Envelope, s: &Arc<Shared>) -> String {
@@ -735,7 +865,19 @@ fn dispatch_work(id: Option<u64>, t: Arc<Tenant>, req: Request, s: &Arc<Shared>)
                 ),
             )
         }
-        Request::Predict(w) => enqueue_and_wait(id, t, JobKind::Predict(w), s),
+        Request::Predict(w) => {
+            let key = s.predict_key(&w);
+            let hit = s
+                .predict_cache
+                .read()
+                .expect("predict cache lock")
+                .get(&key)
+                .cloned();
+            match hit {
+                Some(p) => answer_hit(id, &t, &key, &p, s),
+                None => enqueue_and_wait(id, t, JobKind::Predict(w), s),
+            }
+        }
         Request::Analyze(w) => enqueue_and_wait(id, t, JobKind::Analyze(w), s),
         Request::Difftest { seeds, start, pkts } => {
             enqueue_and_wait(id, t, JobKind::Difftest { seeds, start, pkts }, s)
@@ -745,6 +887,43 @@ fn dispatch_work(id: Option<u64>, t: Arc<Tenant>, req: Request, s: &Arc<Shared>)
             unreachable!("inline ops handled before dispatch_work")
         }
     }
+}
+
+/// The refusal every work request gets once drain has begun. A
+/// lifecycle refusal, not a failure: like `overloaded` and
+/// `quota_exceeded` it stays out of `errors`, which tallies client
+/// mistakes and internal faults only.
+fn refuse_draining(id: Option<u64>, s: &Shared) -> String {
+    s.meters.draining_rejected.incr();
+    protocol::error_response(
+        id,
+        ErrorKind::Draining,
+        "server is draining and no longer admits work",
+    )
+}
+
+/// Answers a prediction-cache hit on the connection thread. It takes no
+/// queue slot and never wakes a worker; the queue lock is taken only to
+/// check the drain flag and count the hit in flight, so drain stays
+/// linearized: a hit admitted before the flip is answered and counted in
+/// the drain report's `served`, every hit after it gets `draining`.
+fn answer_hit(id: Option<u64>, t: &Tenant, key: &PredictKey, p: &Prediction, s: &Shared) -> String {
+    {
+        let qs = s.queue.lock().expect("queue poisoned");
+        if qs.draining {
+            drop(qs);
+            return refuse_draining(id, s);
+        }
+        s.in_flight.fetch_add(1, Ordering::SeqCst);
+    }
+    s.meters.predict_ops.incr();
+    s.meters.predict_hits.incr();
+    let (nf, _, _, _, backend, precision) = key;
+    let response = protocol::predict_response(id, nf, backend, *precision, p);
+    s.served.fetch_add(1, Ordering::SeqCst);
+    t.stats.served.fetch_add(1, Ordering::SeqCst);
+    s.in_flight.fetch_sub(1, Ordering::SeqCst);
+    response
 }
 
 fn enqueue_and_wait(id: Option<u64>, tenant: Arc<Tenant>, kind: JobKind, s: &Arc<Shared>) -> String {
@@ -759,21 +938,13 @@ fn enqueue_and_wait(id: Option<u64>, tenant: Arc<Tenant>, kind: JobKind, s: &Arc
         // same lock.
         if qs.draining {
             drop(qs);
-            // A lifecycle refusal, not a failure: like `overloaded` and
-            // `quota_exceeded` it stays out of `errors`, which tallies
-            // client mistakes and internal faults only.
-            obs::volatile_counter("serve.draining.rejected").incr();
-            return protocol::error_response(
-                id,
-                ErrorKind::Draining,
-                "server is draining and no longer admits work",
-            );
+            return refuse_draining(id, s);
         }
         if qs.total >= s.opts.queue_cap {
             drop(qs);
             s.overloaded.fetch_add(1, Ordering::SeqCst);
             tenant.stats.overloaded.fetch_add(1, Ordering::SeqCst);
-            obs::volatile_counter("serve.overloaded").incr();
+            s.meters.overloaded.incr();
             return protocol::error_response(
                 id,
                 ErrorKind::Overloaded,
@@ -792,7 +963,7 @@ fn enqueue_and_wait(id: Option<u64>, tenant: Arc<Tenant>, kind: JobKind, s: &Arc
             drop(qs);
             s.quota_exceeded.fetch_add(1, Ordering::SeqCst);
             tenant.stats.quota_exceeded.fetch_add(1, Ordering::SeqCst);
-            obs::volatile_counter("serve.quota_exceeded").incr();
+            s.meters.quota_exceeded.incr();
             return protocol::error_response(
                 id,
                 ErrorKind::QuotaExceeded,
@@ -1150,7 +1321,7 @@ fn run_batch(batch: Vec<Job>, s: &Arc<Shared>) {
         return;
     }
     let n = batch.len();
-    obs::volatile_histogram("serve.batch.size").observe(n as f64);
+    s.meters.batch_size.observe(n as f64);
     if n > 1 || matches!(batch[0].kind, JobKind::Predict(_)) {
         run_predict_batch(batch, s);
     } else {
@@ -1160,9 +1331,13 @@ fn run_batch(batch: Vec<Job>, s: &Arc<Shared>) {
     }
 }
 
+/// Runs a batch of predicts, every one a prediction-cache miss (hits are
+/// answered on the connection thread and never queued), and caches what
+/// it computes.
 fn run_predict_batch(batch: Vec<Job>, s: &Arc<Shared>) {
     let n = batch.len();
-    obs::counter("serve.ops.predict").add(n as u64);
+    s.meters.predict_ops.add(n as u64);
+    s.meters.predict_misses.add(n as u64);
     let specs: Vec<&WorkSpec> = batch
         .iter()
         .map(|j| match &j.kind {
@@ -1174,68 +1349,28 @@ fn run_predict_batch(batch: Vec<Job>, s: &Arc<Shared>) {
     // the whole batch routes to the first spec's device and path.
     let backend = s.backend_of(specs[0]).expect("validated at admission");
     let precision = s.effective_precision(specs[0]);
-    let keys: Vec<PredictKey> = specs
+    let traces: Vec<_> = specs.iter().map(|w| w.trace()).collect();
+    let items: Vec<(&Module, &trafgen::Trace)> = specs
         .iter()
-        .map(|w| {
-            (
-                w.nf.clone(),
-                w.packets,
-                w.seed,
-                w.small_flows,
-                backend.name().to_string(),
-                precision,
-            )
-        })
+        .zip(&traces)
+        .map(|(w, t)| (s.corpus.get(&w.nf).expect("validated at admission"), t))
         .collect();
-    let mut results: Vec<Option<Result<Prediction, clara_core::ClaraError>>> =
-        (0..n).map(|_| None).collect();
-    let mut hits = 0u64;
+    let results = {
+        let span = obs::span_under(s.root, "serve-predict-batch");
+        let _ctx = obs::attach(span.handle());
+        s.clara
+            .predict_batch_on_prec_cached(&items, backend, precision, s.predictor_fp)
+    };
     {
-        let cache = s.predict_cache.lock().expect("predict cache lock");
-        for (slot, key) in results.iter_mut().zip(&keys) {
-            if let Some(p) = cache.get(key) {
-                *slot = Some(Ok(p.clone()));
-                hits += 1;
-            }
-        }
-    }
-    let misses: Vec<usize> = (0..n).filter(|i| results[*i].is_none()).collect();
-    obs::counter("serve.cache.predict_hits").add(hits);
-    obs::counter("serve.cache.predict_misses").add(misses.len() as u64);
-    if !misses.is_empty() {
-        // Trace synthesis is itself per-request work worth skipping on a
-        // hit, so it happens only for the cache misses.
-        let traces: Vec<_> = misses.iter().map(|&i| specs[i].trace()).collect();
-        let items: Vec<(&Module, &trafgen::Trace)> = misses
-            .iter()
-            .zip(&traces)
-            .map(|(&i, t)| {
-                (
-                    s.corpus.get(&specs[i].nf).expect("validated at admission"),
-                    t,
-                )
-            })
-            .collect();
-        let engine_results = {
-            let span = obs::span_under(s.root, "serve-predict-batch");
-            let _ctx = obs::attach(span.handle());
-            s.clara
-                .predict_batch_on_prec_cached(&items, backend, precision, s.predictor_fp)
-        };
-        let mut cache = s.predict_cache.lock().expect("predict cache lock");
-        for (&i, result) in misses.iter().zip(engine_results) {
-            if let Ok(p) = &result {
+        let mut cache = s.predict_cache.write().expect("predict cache lock");
+        for (w, result) in specs.iter().zip(&results) {
+            if let Ok(p) = result {
                 if cache.len() < PREDICT_CACHE_CAP {
-                    cache.insert(keys[i].clone(), p.clone());
+                    cache.insert(s.predict_key(w), p.clone());
                 }
             }
-            results[i] = Some(result);
         }
     }
-    let results: Vec<_> = results
-        .into_iter()
-        .map(|r| r.expect("every slot filled by hit or miss path"))
-        .collect();
     for ((job, spec), result) in batch.iter().zip(&specs).zip(results) {
         let response = match result {
             Ok(p) => {

@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The benchmark is a workspace of its own (clara-perf/), so the root test
+# run does not build it: a change that breaks its build or its unit tests
+# fails here rather than at benchmark time.
+cargo test -q --manifest-path clara-perf/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

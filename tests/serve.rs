@@ -1174,3 +1174,189 @@ fn uds_frames_serve_bytes_identical_to_tcp_lines() {
     assert_eq!(summary.errors, 0);
     assert!(!sock.exists(), "join must remove the socket file");
 }
+
+/// Polls `stats` on `conn` until `done` holds, failing after a minute.
+fn wait_for_stats(conn: &mut Conn, what: &str, done: impl Fn(&str) -> bool) {
+    let started = std::time::Instant::now();
+    loop {
+        let stats = conn.send(&protocol::render_request(None, &Request::Stats));
+        if done(&stats) {
+            return;
+        }
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(60),
+            "timed out waiting for {what}: {stats}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
+/// A cache hit is answered on the connection thread: with the only
+/// worker busy and the one queue slot taken, a warm key still gets `ok`,
+/// byte-identical to its first reply (a queued hit would get
+/// `overloaded`). Once drain has begun the same key gets `draining`, and
+/// the summary counts exactly the replies that were `ok`, and the
+/// prediction cache exactly the hit that was answered.
+#[test]
+fn cache_hits_skip_a_full_queue_but_not_drain() {
+    let _g = serve_lock();
+    let handle = start(1, 1, 1);
+    let addr = handle.addr();
+    let hits = clara_repro::obs::counter("serve.cache.predict_hits");
+    let hits_before = hits.value();
+    let mut key_conn = Conn::open(addr);
+    let mut watch = Conn::open(addr);
+    let mut drain_conn = Conn::open(addr);
+
+    let (key, _) = predict_req(1, "tcpack", 60, 4141);
+    let first = key_conn.send(&key);
+    assert!(first.contains("\"ok\":true"), "warming the key succeeds: {first}");
+
+    std::thread::scope(|scope| {
+        // Two heavy distinct misses: the first occupies the worker, the
+        // second takes the queue's only slot. 12,000 packets keep the
+        // worker busy for about a second in a debug build, far longer
+        // than the key's round trip below.
+        let heavy = |i: u64| {
+            let (line, _) = predict_req(10 + i, "cmsketch", 12_000, 9100 + i);
+            let mut conn = Conn::open(addr);
+            scope.spawn(move || conn.send(&line))
+        };
+        let busy = heavy(0);
+        wait_for_stats(&mut watch, "the worker to take the first miss", |st| {
+            stat_u64(st, "in_flight") == 1 && stat_u64(st, "queue_depth") == 0
+        });
+        let queued = heavy(1);
+        wait_for_stats(&mut watch, "the second miss to fill the queue", |st| {
+            stat_u64(st, "in_flight") == 1 && stat_u64(st, "queue_depth") == 1
+        });
+
+        let again = key_conn.send(&key);
+        assert_eq!(again, first, "a hit skips the full queue and serves the same bytes");
+
+        let drainer =
+            scope.spawn(move || drain_conn.send(&protocol::render_request(Some(99), &Request::Drain)));
+        wait_for_stats(&mut watch, "drain to begin", |st| st.contains("\"draining\":true"));
+        let refused = key_conn.send(&key);
+        assert!(
+            refused.contains(r#""error":"draining""#),
+            "a hit after drain began is refused: {refused}"
+        );
+
+        for h in [busy, queued] {
+            let resp = h.join().expect("heavy client");
+            assert!(resp.contains("\"ok\":true"), "admitted misses are served: {resp}");
+        }
+        let drained = drainer.join().expect("drain client");
+        assert!(drained.contains("\"ok\":true"), "drain succeeds: {drained:.200}");
+        assert_eq!(stat_u64(&drained, "served"), 4, "drain counts every ok reply");
+    });
+
+    let summary = handle.join();
+    assert_eq!(summary.served, 4, "two key replies and two heavy misses");
+    assert_eq!(summary.overloaded, 0);
+    assert_eq!(summary.errors, 0);
+    assert_eq!(hits.value() - hits_before, 1, "exactly the key's one answered hit");
+}
+
+/// Reads until the peer closes; a reset counts as closed too.
+fn assert_closed(r: &mut impl std::io::Read) {
+    let mut rest = Vec::new();
+    match r.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing may follow the refusal"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+}
+
+/// A TCP line over the request cap gets a typed `bad_request` as soon as
+/// it outgrows the cap (the client never sends its newline), the
+/// connection is closed, and a fresh connection is served normally.
+#[test]
+fn over_long_tcp_line_is_refused_and_the_connection_closed() {
+    use clara_repro::serve::transport::MAX_REQUEST_LEN;
+
+    let _g = serve_lock();
+    let handle = start(1, 4, 1);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    stream
+        .write_all(&vec![b'x'; MAX_REQUEST_LEN + 1])
+        .expect("write the over-long line");
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("the daemon answers within the read timeout");
+    assert!(
+        reply.contains(r#""error":"bad_request""#),
+        "over-long line is a typed bad_request: {reply}"
+    );
+    assert_closed(&mut reader);
+
+    let (line, _) = predict_req(3, "tcpack", 60, 4242);
+    let resp = Conn::open(handle.addr()).send(&line);
+    assert!(resp.contains("\"ok\":true"), "a fresh connection is served: {resp}");
+    handle.drain();
+    let summary = handle.join();
+    assert_eq!(summary.served, 1);
+    assert_eq!(summary.errors, 1, "the refusal is charged to `default`");
+}
+
+/// A UDS frame whose length header is over the request cap gets a typed
+/// `bad_request` without the daemon waiting for its body, the connection
+/// is closed, and a fresh connection is served normally.
+#[cfg(unix)]
+#[test]
+fn over_long_uds_frame_is_refused_and_the_connection_closed() {
+    use clara_repro::serve::transport::{self, MAX_REQUEST_LEN};
+    use std::os::unix::net::UnixStream;
+
+    let _g = serve_lock();
+    let sock = std::env::temp_dir().join(format!("clara-serve-cap-{}.sock", std::process::id()));
+    let handle = Server::start(
+        ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            uds_path: Some(sock.to_string_lossy().into_owned()),
+            workers: 1,
+            queue_cap: 4,
+            batch_max: 1,
+            deadline: None,
+            backends: Vec::new(),
+            precision: Precision::F64,
+        },
+        clara(),
+    )
+    .expect("server binds TCP and UDS");
+    let mut stream = UnixStream::connect(&sock).expect("connect unix socket");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    // The header alone: a daemon that waited for the body would hang.
+    stream
+        .write_all(&((MAX_REQUEST_LEN + 1) as u32).to_le_bytes())
+        .expect("write the header");
+    let mut buf = Vec::new();
+    let reply = transport::read_frame(&mut stream, &mut buf)
+        .expect("the daemon answers within the read timeout")
+        .expect("a reply frame");
+    assert!(
+        reply.contains(r#""error":"bad_request""#),
+        "over-long frame is a typed bad_request: {reply}"
+    );
+    assert_closed(&mut stream);
+
+    let (line, _) = predict_req(4, "tcpack", 60, 4343);
+    let mut fresh = UnixStream::connect(&sock).expect("reconnect");
+    transport::write_frame(&mut fresh, &mut Vec::new(), &line).expect("write frame");
+    let resp = transport::read_frame(&mut fresh, &mut buf)
+        .expect("read frame")
+        .expect("a reply frame");
+    assert!(resp.contains("\"ok\":true"), "a fresh connection is served: {resp}");
+    drop(fresh);
+    handle.drain();
+    let summary = handle.join();
+    assert_eq!(summary.served, 1);
+    assert_eq!(summary.errors, 1, "the refusal is charged to `default`");
+}
