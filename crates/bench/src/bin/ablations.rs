@@ -241,7 +241,8 @@ fn ablate_kmeans_vs_frequency() {
         let e = clara_bench::element(name);
         let kmeans_plan = suggest_coalescing(&e.module, &trace, 10);
         // Frequency-only: one pack of the 4 hottest variables.
-        let av = access_vectors(&e.module, &trace);
+        let rec = nic_sim::record_workload(&e.module, &trace, |_| {});
+        let av = access_vectors(&e.module, &rec);
         let mut order: Vec<usize> = (0..av.vars.len()).collect();
         order.sort_by(|&a, &b| av.totals[b].partial_cmp(&av.totals[a]).expect("finite"));
         let freq_plan = CoalescePlan {

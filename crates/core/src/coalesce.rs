@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use click_model::{Event, Machine};
+use click_model::Event;
 use nf_ir::{GlobalId, Module, StateKind};
 use nic_sim::{CoalescePlan, PortConfig};
 use tinyml::kmeans::KMeans;
@@ -32,27 +32,29 @@ pub struct AccessVectors {
     pub totals: Vec<f64>,
 }
 
-/// Collects access vectors by running the NF over the trace on the host
-/// (the paper's profiling step).
-///
-/// # Panics
-///
-/// Panics if the module fails verification.
-pub fn access_vectors(module: &Module, trace: &Trace) -> AccessVectors {
-    let vars: Vec<Var> = module
+/// The coalescing variables of a module: its scalar globals, in module
+/// order.
+fn scalar_vars(module: &Module) -> Vec<Var> {
+    module
         .globals
         .iter()
         .filter(|g| g.kind == StateKind::Scalar)
         .map(|g| Var(g.id))
-        .collect();
+        .collect()
+}
+
+/// Collects access vectors from the interpreter traces of the NF run over
+/// a packet trace on the host (the paper's profiling step), as
+/// [`nic_sim::record_workload`] records them; a caller that also costs
+/// plans over the recording runs the NF once.
+pub fn access_vectors(module: &Module, rec: &nic_sim::RecordedWorkload) -> AccessVectors {
+    let vars = scalar_vars(module);
     let n_blocks = module.handler().map_or(0, |f| f.blocks.len());
     let index_of: BTreeMap<GlobalId, usize> =
         vars.iter().enumerate().map(|(i, v)| (v.0, i)).collect();
 
     let mut counts = vec![vec![0.0f64; n_blocks]; vars.len()];
-    let mut machine = Machine::new(module).expect("module verifies");
-    for pkt in &trace.pkts {
-        let t = machine.run(pkt).expect("no step limit");
+    for (_, _, t) in rec.entries() {
         let mut cur_block = 0usize;
         for ev in &t.events {
             match ev {
@@ -92,11 +94,13 @@ pub fn access_vectors(module: &Module, trace: &Trace) -> AccessVectors {
 /// memory accesses (the paper's "cutoff threshold to determine a suitable
 /// inter-cluster distance", chosen by validation).
 pub fn suggest_coalescing(module: &Module, trace: &Trace, seed: u64) -> CoalescePlan {
-    let av = access_vectors(module, trace);
-    if av.vars.len() < 2 {
+    // Fewer than two scalars leave nothing to pack: answer before
+    // running the NF at all.
+    if scalar_vars(module).len() < 2 {
         return CoalescePlan::default();
     }
     let rec = nic_sim::record_workload(module, trace, |_| {});
+    let av = access_vectors(module, &rec);
     let cfg = nic_sim::NicConfig::default();
     let mut best = CoalescePlan::default();
     let mut best_cost = eval_recorded(module, &rec, &cfg, &best);
@@ -172,7 +176,7 @@ pub fn exhaustive_coalescing(
     k: usize,
 ) -> CoalescePlan {
     let rec = nic_sim::record_workload(module, trace, |_| {});
-    let av = access_vectors(module, trace);
+    let av = access_vectors(module, &rec);
     // Hottest k variables.
     let mut order: Vec<usize> = (0..av.vars.len()).collect();
     order.sort_by(|&a, &b| av.totals[b].partial_cmp(&av.totals[a]).expect("finite"));
@@ -263,13 +267,72 @@ mod tests {
     #[test]
     fn access_vectors_cover_all_scalars() {
         let e = click_model::elements::tcpgen();
-        let av = access_vectors(&e.module, &tcp_trace());
+        let rec = nic_sim::record_workload(&e.module, &tcp_trace(), |_| {});
+        let av = access_vectors(&e.module, &rec);
         assert_eq!(av.vars.len(), 8); // tcpgen has eight scalar globals.
                                       // Co-accessed variables have similar vectors: sport/dport are
                                       // always written together in the SYN block.
         let sport = av.vars.iter().position(|v| v.0 == GlobalId(4)).unwrap();
         let dport = av.vars.iter().position(|v| v.0 == GlobalId(5)).unwrap();
         assert_eq!(av.vectors[sport], av.vectors[dport]);
+    }
+
+    /// Reference: the access vectors of one direct interpreter pass over
+    /// the trace, without a recording in between.
+    fn machine_loop_vectors(module: &Module, trace: &Trace) -> AccessVectors {
+        let vars = scalar_vars(module);
+        let n_blocks = module.handler().map_or(0, |f| f.blocks.len());
+        let mut counts = vec![vec![0.0f64; n_blocks]; vars.len()];
+        let mut machine = click_model::Machine::new(module).expect("module verifies");
+        for pkt in &trace.pkts {
+            let t = machine.run(pkt).expect("no step limit");
+            let mut cur_block = 0usize;
+            for ev in &t.events {
+                match ev {
+                    Event::Block(b) => cur_block = b.index(),
+                    Event::State { global, .. } => {
+                        if let Some(vi) = vars.iter().position(|v| v.0 == *global) {
+                            counts[vi][cur_block] += 1.0;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let totals: Vec<f64> = counts.iter().map(|c| c.iter().sum()).collect();
+        let vectors = counts
+            .into_iter()
+            .zip(&totals)
+            .map(|(c, &t)| {
+                if t <= 0.0 {
+                    c
+                } else {
+                    c.into_iter().map(|x| x / t).collect()
+                }
+            })
+            .collect();
+        AccessVectors {
+            vars,
+            vectors,
+            totals,
+        }
+    }
+
+    #[test]
+    fn recorded_access_vectors_match_a_direct_interpreter_pass() {
+        let workloads = [WorkloadSpec::large_flows(), WorkloadSpec::small_flows()];
+        for e in click_model::extended_corpus() {
+            for (w, spec) in workloads.iter().enumerate() {
+                let trace = Trace::generate(spec, 120, 3 + w as u64);
+                let rec = nic_sim::record_workload(&e.module, &trace, |_| {});
+                let got = access_vectors(&e.module, &rec);
+                let want = machine_loop_vectors(&e.module, &trace);
+                let what = format!("{} on workload {w}", e.name());
+                assert_eq!(got.vars, want.vars, "{what}");
+                assert_eq!(got.vectors, want.vectors, "{what}");
+                assert_eq!(got.totals, want.totals, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //! history.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use clara_obs as obs;
 use ilp_solver::{AssignmentProblem, IlpError};
@@ -632,6 +633,14 @@ fn migration(modules: &[&click_model::NfElement], old: &[NfSolve], new: &[NfSolv
     (moved, bytes)
 }
 
+/// The extended corpus, built once per process: a request only looks
+/// NFs up by name, and rebuilding all 32 modules per request cost more
+/// than the lookup it served.
+fn extended_corpus() -> &'static [click_model::NfElement] {
+    static CORPUS: OnceLock<Vec<click_model::NfElement>> = OnceLock::new();
+    CORPUS.get_or_init(click_model::extended_corpus)
+}
+
 fn solve_all(
     modules: &[&click_model::NfElement],
     profiles: &[WorkloadProfile],
@@ -698,10 +707,9 @@ impl Clara {
                 detail: "request names no NFs".into(),
             });
         }
-        let corpus = click_model::extended_corpus();
         let mut modules: Vec<&click_model::NfElement> = Vec::with_capacity(req.nfs.len());
         for nf in &req.nfs {
-            let e = corpus
+            let e = extended_corpus()
                 .iter()
                 .find(|e| e.name() == nf)
                 .ok_or_else(|| ClaraError::Placement {

@@ -91,10 +91,51 @@ impl Matrix {
     ///
     /// Panics if `x.len() != self.cols`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(x.iter()).map(|(a, b)| a * b).sum())
-            .collect()
+        let mut y = vec![0.0; self.rows];
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// [`Matrix::matvec`] into a caller-owned `y` (length = `rows`).
+    ///
+    /// Rows are summed four at a time, so one pass over `x` feeds four
+    /// independent sums. Each row is still summed left to right starting
+    /// from −0.0, as `Iterator::sum` does, so every entry equals the
+    /// per-row `sum()` bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols` or `y.len() != self.rows`.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        let cols = self.cols;
+        assert_eq!(x.len(), cols, "matvec dimension mismatch");
+        assert_eq!(y.len(), self.rows, "matvec output mismatch");
+        if cols == 0 {
+            y.fill(-0.0);
+            return;
+        }
+        let mut blocks = self.data.chunks_exact(4 * cols);
+        let mut outs = y.chunks_exact_mut(4);
+        for (rows, out) in (&mut blocks).zip(&mut outs) {
+            let (r0, rest) = rows.split_at(cols);
+            let (r1, rest) = rest.split_at(cols);
+            let (r2, r3) = rest.split_at(cols);
+            let mut acc = [-0.0f64; 4];
+            for c in 0..cols {
+                acc[0] += r0[c] * x[c];
+                acc[1] += r1[c] * x[c];
+                acc[2] += r2[c] * x[c];
+                acc[3] += r3[c] * x[c];
+            }
+            out.copy_from_slice(&acc);
+        }
+        for (row, out) in blocks
+            .remainder()
+            .chunks_exact(cols)
+            .zip(outs.into_remainder())
+        {
+            *out = row.iter().zip(x).map(|(a, b)| a * b).sum();
+        }
     }
 
     /// `y += self^T * g` — accumulate the transpose-matvec into `y`.
@@ -214,12 +255,20 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - B1.powi(self.t as i32);
         let bc2 = 1.0 - B2.powi(self.t as i32);
-        for (i, p) in param.iter_mut().enumerate() {
-            self.m[i] = B1 * self.m[i] + (1.0 - B1) * grad[i];
-            self.v[i] = B2 * self.v[i] + (1.0 - B2) * grad[i] * grad[i];
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            *p -= self.lr * mhat / (vhat.sqrt() + EPS);
+        let lr = self.lr;
+        // One zipped pass with no indexing, so the loop vectorizes; the
+        // per-element expression is unchanged.
+        for (((p, &g), m), v) in param
+            .iter_mut()
+            .zip(grad)
+            .zip(self.m.iter_mut())
+            .zip(self.v.iter_mut())
+        {
+            *m = B1 * *m + (1.0 - B1) * g;
+            *v = B2 * *v + (1.0 - B2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + EPS);
         }
     }
 }
@@ -250,6 +299,43 @@ mod tests {
         let mut y = vec![0.0; 3];
         m.add_tmatvec(&[1.0, 1.0], &mut y);
         assert_eq!(y, vec![5.0, 7.0, 9.0]);
+    }
+
+    #[test]
+    fn blocked_matvec_equals_per_row_sum_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        // Signed zeros decide the sign of an all-zero sum, which is where
+        // a wrong starting value (+0.0 instead of −0.0) would show.
+        let pick = |rng: &mut StdRng| match rng.gen_range(0..5) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-3.0..3.0),
+        };
+        for rows in (1..=9).chain([112]) {
+            for cols in [1, 3, 28] {
+                let m = Matrix {
+                    rows,
+                    cols,
+                    data: (0..rows * cols).map(|_| pick(&mut rng)).collect(),
+                };
+                let mut xs = vec![vec![0.0; cols], vec![-0.0; cols]];
+                xs.push((0..cols).map(|_| pick(&mut rng)).collect());
+                for x in &xs {
+                    let want: Vec<u64> = (0..rows)
+                        .map(|r| {
+                            let s: f64 = m.row(r).iter().zip(x).map(|(a, b)| a * b).sum();
+                            s.to_bits()
+                        })
+                        .collect();
+                    let got: Vec<u64> = m.matvec(x).iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{rows}x{cols} matvec of {x:?}");
+                }
+            }
+        }
+        // No columns: every entry is the empty sum.
+        let empty = Matrix::zeros(3, 0);
+        let want = [0.0f64; 0].iter().sum::<f64>().to_bits();
+        assert!(empty.matvec(&[]).iter().all(|v| v.to_bits() == want));
     }
 
     #[test]

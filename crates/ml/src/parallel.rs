@@ -35,6 +35,8 @@ pub fn threads() -> usize {
 /// Maps `f` over `items` on the worker pool, returning results in input
 /// order. With one worker this is a plain serial map; the caller is
 /// responsible for making `f` pure so the two paths agree bit for bit.
+/// The calling thread is one of the workers, so `workers − 1` threads
+/// are spawned per call.
 pub fn map_ordered<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let workers = threads().min(items.len());
     if workers <= 1 {
@@ -42,20 +44,22 @@ pub fn map_ordered<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) ->
     }
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= items.len() {
-                        break;
-                    }
-                    local.push((i, f(&items[i])));
-                }
-                done.lock().expect("poisoned").append(&mut local);
-            });
+    let work = || {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            if i >= items.len() {
+                break;
+            }
+            local.push((i, f(&items[i])));
         }
+        done.lock().expect("poisoned").append(&mut local);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
     });
     let mut out = done.into_inner().expect("poisoned");
     out.sort_unstable_by_key(|(i, _)| *i);

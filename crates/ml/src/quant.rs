@@ -12,8 +12,11 @@
 //! derived as `σ(x) = (tanh(x/2) + 1) / 2` so both nonlinearities share
 //! one table.
 //!
-//! All quantized arithmetic is integer and therefore exact and
-//! platform-independent: the only rounding happens at weight/input
+//! All quantized arithmetic is exact and platform-independent: integer
+//! math, plus the single-lane LSTM's recurrent matvec, which runs on
+//! `f64` copies of the Q16.16 values only where every product and
+//! partial sum is an integer `f64` holds exactly (so it vectorizes
+//! without rounding anything). The only rounding happens at weight/input
 //! quantization and inside `qmul`'s right shift, and both are fully
 //! deterministic. A consequence this crate's callers rely on: batched
 //! evaluation is **bit-identical** to one-at-a-time evaluation, because
@@ -161,6 +164,59 @@ fn dot_q(a: &[i32], b: &[i32]) -> i64 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
+/// Bound on a recurrent row's `Σ_j |w_j|` under which [`matvec_exact`]
+/// is exact: with every hidden value at most `2^16` in magnitude, no
+/// partial sum of the row can then exceed `2^53`.
+const EXACT_ROW_L1: u64 = 1 << 37;
+
+/// Rows per block of the recurrent weights that [`matvec_exact`] reads.
+const BLOCK: usize = 16;
+
+/// Row-major Q16.16 weights (`cols` per row) as `f64`, regrouped for
+/// [`matvec_exact`]: blocks of [`BLOCK`] rows, each stored column by
+/// column (`out[(block * cols + j) * BLOCK + i]` is row
+/// `block * BLOCK + i`, column `j`), the last block padded with zero rows.
+fn pack_blocks(w: &[i32], cols: usize) -> Vec<f64> {
+    let rows = w.len() / cols;
+    let mut out = vec![0.0; rows.div_ceil(BLOCK) * BLOCK * cols];
+    for (r, row) in w.chunks_exact(cols).enumerate() {
+        let (block, i) = (r / BLOCK, r % BLOCK);
+        for (j, &v) in row.iter().enumerate() {
+            out[(block * cols + j) * BLOCK + i] = f64::from(v);
+        }
+    }
+    out
+}
+
+/// `dots[r] = Σ_j w[r][j] · h[j]` (Q32.32) for every row of weights packed
+/// by [`pack_blocks`], with the hidden state converted from Q16.16 to
+/// `f64`. `dots` covers the padded rows too.
+///
+/// This is [`dot_q`]'s result exactly, not approximately: every product
+/// is an integer of magnitude at most `2^47` (`|w| <= 2^31`,
+/// `|h| <= 2^16`, see [`QuantLstm::run_single`]) and every partial sum
+/// one of magnitude at most `2^53` (rows are checked against
+/// [`EXACT_ROW_L1`] at quantize time), so each operation's exact result
+/// is representable and IEEE arithmetic returns it. In `f64` the sums vectorize, `BLOCK` rows per pass over `h`, where
+/// `dot_q`'s `i64` products do not: the baseline x86-64 target has no
+/// vector `i64` multiply.
+fn matvec_exact(w: &[f64], h: &[f64], dots: &mut [i64]) {
+    for (out, block) in dots
+        .chunks_exact_mut(BLOCK)
+        .zip(w.chunks_exact(BLOCK * h.len()))
+    {
+        let mut acc = [0.0f64; BLOCK];
+        for (col, &x) in block.chunks_exact(BLOCK).zip(h) {
+            for (a, &v) in acc.iter_mut().zip(col) {
+                *a += v * x;
+            }
+        }
+        for (d, a) in out.iter_mut().zip(acc) {
+            *d = a as i64;
+        }
+    }
+}
+
 /// Segments in the tanh table; step `8.0 / 256 = 2^-5`.
 const TANH_SEGS: usize = 256;
 /// Bits of within-segment fraction (`FRAC_BITS - 5`).
@@ -232,8 +288,13 @@ const SOA_MIN_LANES: usize = 16;
 #[derive(Default)]
 struct Scratch {
     hs: Vec<i32>,
+    /// `hs` as `f64`, the input of [`matvec_exact`].
+    hf: Vec<f64>,
     cs: Vec<i32>,
-    pre: Vec<i64>,
+    /// Recurrent dot products (Q32.32), `4h` rounded up to whole blocks.
+    dots: Vec<i64>,
+    /// Saturated gate pre-activations, `4h`.
+    pre: Vec<i32>,
 }
 
 /// Q16.16 twin of [`LstmRegressor`]: same topology, integer weights,
@@ -253,6 +314,10 @@ pub struct QuantLstm {
     wxt: Vec<i32>,
     /// Recurrent weights `4h x h`, row-major.
     wh: Vec<i32>,
+    /// `wh` packed by [`pack_blocks`] for [`matvec_exact`]; `None` when a
+    /// row's absolute sum exceeds [`EXACT_ROW_L1`] (no trained model comes
+    /// near it), and the single-lane kernel then sums with [`dot_q`].
+    whf: Option<Vec<f64>>,
     /// Gate biases, `4h`.
     b: Vec<i32>,
     /// FC layer 1 `fc_hidden x h`, row-major.
@@ -277,12 +342,17 @@ impl QuantLstm {
                 wxt[t * rows + r] = to_q(m.wx.data[r * cfg.vocab + t]);
             }
         }
+        let wh = qv(&m.wh.data);
+        let exact = wh.chunks_exact(cfg.hidden).all(|row| {
+            row.iter().map(|w| u64::from(w.unsigned_abs())).sum::<u64>() <= EXACT_ROW_L1
+        });
         QuantLstm {
             vocab: cfg.vocab,
             hidden: cfg.hidden,
             fc_hidden: cfg.fc_hidden,
             wxt,
-            wh: qv(&m.wh.data),
+            whf: exact.then(|| pack_blocks(&wh, cfg.hidden)),
+            wh,
             b: qv(&m.b),
             w1: qv(&m.w1.data),
             b1: qv(&m.b1),
@@ -303,8 +373,13 @@ impl QuantLstm {
     ///
     /// Every entry point funnels into either this kernel or the
     /// structure-of-arrays one below; because all arithmetic is exact
-    /// integer math, the two differ only in summation order and therefore
-    /// produce bit-identical results.
+    /// (integer math, and [`matvec_exact`]'s exact `f64` sums), the two
+    /// differ only in summation order and therefore produce bit-identical
+    /// results.
+    ///
+    /// Every hidden value is at most `ONE_Q` in magnitude, as
+    /// [`matvec_exact`] requires: it is `qmul(o, qtanh(c))` with the
+    /// sigmoid `o` in `[0, ONE_Q]` and the table tanh in `[-ONE_Q, ONE_Q]`.
     fn run_single(&self, seq: &[usize], s: &mut Scratch) -> f64 {
         if seq.is_empty() {
             // Empty sequences short-circuit to the target mean, same as
@@ -313,30 +388,50 @@ impl QuantLstm {
         }
         let h = self.hidden;
         let table = tanh_table();
-        let Scratch { hs, cs, pre } = s;
+        let Scratch {
+            hs,
+            hf,
+            cs,
+            dots,
+            pre,
+        } = s;
         hs.clear();
         hs.resize(h, 0);
+        hf.clear();
+        hf.resize(h, 0.0);
         cs.clear();
         cs.resize(h, 0);
+        dots.clear();
+        dots.resize((4 * h).div_ceil(BLOCK) * BLOCK, 0);
         pre.clear();
         pre.resize(4 * h, 0);
         for &tok in seq {
             let tok = tok.min(self.vocab - 1);
-            for (r, p) in pre.iter_mut().enumerate() {
-                let row = &self.wh[r * h..(r + 1) * h];
-                *p = dot_q(row, hs);
+            match &self.whf {
+                Some(whf) => matvec_exact(whf, hf, dots),
+                None => {
+                    for (d, row) in dots.iter_mut().zip(self.wh.chunks_exact(h)) {
+                        *d = dot_q(row, hs);
+                    }
+                }
             }
             let col = &self.wxt[tok * 4 * h..(tok + 1) * 4 * h];
-            for j in 0..h {
-                let pre_at =
-                    |r: usize| sat((pre[r] >> FRAC_BITS) + col[r] as i64 + self.b[r] as i64);
-                let gi = qsigmoid_t(table, pre_at(j));
-                let gf = qsigmoid_t(table, pre_at(h + j));
-                let gc = qtanh_t(table, pre_at(2 * h + j));
-                let go = qsigmoid_t(table, pre_at(3 * h + j));
-                let c = sat(qmul(gf, cs[j]) as i64 + qmul(gi, gc) as i64);
-                cs[j] = c;
-                hs[j] = qmul(go, qtanh_t(table, c));
+            for (((p, &d), &c), &b) in pre.iter_mut().zip(&*dots).zip(col).zip(&self.b) {
+                *p = sat((d >> FRAC_BITS) + c as i64 + b as i64);
+            }
+            let (pi, rest) = pre.split_at(h);
+            let (pf, rest) = rest.split_at(h);
+            let (pg, po) = rest.split_at(h);
+            let gates = pi.iter().zip(pf).zip(pg).zip(po);
+            let state = cs.iter_mut().zip(hs.iter_mut()).zip(hf.iter_mut());
+            for ((((&i, &f), &g), &o), ((c, hv), hfv)) in gates.zip(state) {
+                let gi = qsigmoid_t(table, i);
+                let gf = qsigmoid_t(table, f);
+                let gc = qtanh_t(table, g);
+                let go = qsigmoid_t(table, o);
+                *c = sat(qmul(gf, *c) as i64 + qmul(gi, gc) as i64);
+                *hv = qmul(go, qtanh_t(table, *c));
+                *hfv = f64::from(*hv);
             }
         }
         self.head(|j| hs[j])
@@ -628,6 +723,8 @@ mod tests {
     use crate::gbdt::GbdtConfig;
     use crate::lstm::LstmConfig;
     use crate::mlp::MlpConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use serde_json::{from_str, to_string};
 
     #[test]
@@ -659,6 +756,95 @@ mod tests {
         assert_eq!(qtanh(to_q(0.7)), -qtanh(to_q(-0.7)));
         assert_eq!(qtanh(to_q(40.0)), ONE_Q);
         assert_eq!(qtanh(i32::MIN), -ONE_Q);
+    }
+
+    #[test]
+    fn table_tanh_magnitude_never_exceeds_one() {
+        // Every input from 0 through saturation; odd symmetry covers the
+        // negatives. `matvec_exact` relies on |h| <= ONE_Q, and h is a
+        // sigmoid times a tanh, each bounded by this.
+        for x in 0..=TANH_CLAMP_Q as i32 {
+            let t = qtanh(x);
+            assert!((0..=ONE_Q).contains(&t), "qtanh({x}) = {t}");
+            assert!((0..=ONE_Q).contains(&qsigmoid(x)), "qsigmoid({x})");
+            assert!((0..=ONE_Q).contains(&qsigmoid(-x)), "qsigmoid(-{x})");
+        }
+        assert_eq!(qtanh(i32::MAX), ONE_Q);
+        assert_eq!(qsigmoid(i32::MIN), 0);
+    }
+
+    #[test]
+    fn exact_matvec_equals_integer_dot_products() {
+        let mut rng = StdRng::seed_from_u64(9);
+        // Extremes included: |w| up to 2^31 and |h| up to ONE_Q.
+        let weight = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => i32::MIN,
+            1 => i32::MAX,
+            _ => rng.gen_range(-(1 << 20)..(1 << 20)),
+        };
+        let hidden = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => -ONE_Q,
+            1 => ONE_Q,
+            _ => rng.gen_range(-ONE_Q..=ONE_Q),
+        };
+        // Row counts below, at and past one block; 64 columns put a row
+        // of |w| = 2^31 right at EXACT_ROW_L1.
+        for (rows, cols) in [(12usize, 3usize), (16, 28), (20, 5), (112, 28), (16, 64)] {
+            for _ in 0..20 {
+                let w: Vec<i32> = (0..rows * cols).map(|_| weight(&mut rng)).collect();
+                let h: Vec<i32> = (0..cols).map(|_| hidden(&mut rng)).collect();
+                let hf: Vec<f64> = h.iter().map(|&v| f64::from(v)).collect();
+                let mut dots = vec![-1; rows.div_ceil(BLOCK) * BLOCK];
+                matvec_exact(&pack_blocks(&w, cols), &hf, &mut dots);
+                for (r, row) in w.chunks_exact(cols).enumerate() {
+                    assert_eq!(dots[r], dot_q(row, &h), "{rows}x{cols} row {r}");
+                }
+                assert!(dots[rows..].iter().all(|&d| d == 0), "padding rows");
+            }
+        }
+        // Every partial sum of this row reaches 2^53 at the end.
+        let (w, h) = (vec![i32::MIN; 64], vec![-ONE_Q; 64]);
+        let mut dots = vec![0; BLOCK];
+        let hf: Vec<f64> = h.iter().map(|&v| f64::from(v)).collect();
+        matvec_exact(&pack_blocks(&w, 64), &hf, &mut dots);
+        assert_eq!(dots[0], 1 << 53);
+        assert_eq!(dots[0], dot_q(&w, &h));
+    }
+
+    #[test]
+    fn exact_and_integer_recurrences_agree_and_large_rows_fall_back() {
+        let q = QuantLstm::quantize(&toy_lstm());
+        assert!(q.whf.is_some());
+        let integer = QuantLstm {
+            whf: None,
+            ..q.clone()
+        };
+        for i in 0..40usize {
+            let seq: Vec<usize> = (0..(1 + i % 23)).map(|j| (j * 7 + i) % 12).collect();
+            assert_eq!(
+                q.predict_tokens(&seq).to_bits(),
+                integer.predict_tokens(&seq).to_bits(),
+                "seq {i}"
+            );
+        }
+        // Only rows of more than 64 weights can pass the bound: 65
+        // saturated ones keep the i64 sums, which the wide batch kernel
+        // still matches.
+        let mut big = LstmRegressor::new(LstmConfig {
+            vocab: 4,
+            hidden: 65,
+            fc_hidden: 4,
+            ..LstmConfig::default()
+        });
+        big.wh.data.iter_mut().for_each(|w| *w = 1.0e5);
+        let q = QuantLstm::quantize(&big);
+        assert!(q.whf.is_none());
+        let seqs: Vec<Vec<usize>> = (0..16).map(|i| vec![i % 4; 1 + i % 3]).collect();
+        let refs: Vec<&[usize]> = seqs.iter().map(|s| s.as_slice()).collect();
+        let batched = q.predict_batch_tokens(&refs);
+        for (s, b) in refs.iter().zip(&batched) {
+            assert_eq!(q.predict_tokens(s).to_bits(), b.to_bits());
+        }
     }
 
     #[test]

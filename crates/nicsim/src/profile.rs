@@ -207,6 +207,12 @@ impl RecordedWorkload {
     pub fn from_entries(entries: Vec<(u32, u16, ExecTrace)>) -> RecordedWorkload {
         RecordedWorkload { entries }
     }
+
+    /// The recorded `(flow_id, size, trace)` entries, one per packet in
+    /// trace order.
+    pub fn entries(&self) -> &[(u32, u16, ExecTrace)] {
+        &self.entries
+    }
 }
 
 /// Runs the NF over a trace and records the interpreter traces.

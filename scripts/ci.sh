@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The LSTM training kernel's bit-identity tests (blocked matvec, sparse
+# wx merge, pinned weights) also run in the optimized build: that build
+# trains the benchmark's models and is the only one that vectorizes.
+cargo test --release -q -p tinyml
 # The benchmark is a workspace of its own (clara-perf/), so the root test
 # run does not build it: a change that breaks its build or its unit tests
 # fails here rather than at benchmark time.
