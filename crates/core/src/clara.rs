@@ -67,8 +67,6 @@ pub struct ClaraConfig {
     pub epochs: usize,
     /// RNG seed.
     pub seed: u64,
-    /// NIC hardware configuration.
-    pub nic: NicConfig,
     /// Engine behaviour: workers, retries, deadlines, fault injection,
     /// persistent cache. Installed process-wide when training starts.
     pub engine: engine::EngineOptions,
@@ -86,7 +84,6 @@ impl ClaraConfig {
             scaleout_programs: 60,
             epochs: 35,
             seed,
-            nic: NicConfig::default(),
             engine: engine::EngineOptions::default(),
             precision: Precision::F64,
         }
@@ -100,7 +97,6 @@ impl ClaraConfig {
             scaleout_programs: 16,
             epochs: 15,
             seed,
-            nic: NicConfig::default(),
             engine: engine::EngineOptions::default(),
             precision: Precision::F64,
         }
@@ -162,13 +158,6 @@ impl ClaraConfigBuilder {
         self
     }
 
-    /// Sets the NIC hardware configuration.
-    #[must_use]
-    pub fn nic(mut self, nic: NicConfig) -> Self {
-        self.cfg.nic = nic;
-        self
-    }
-
     /// Sets the engine options (workers, retries, stage deadline, fault
     /// injection, persistent cache directory).
     #[must_use]
@@ -206,7 +195,8 @@ pub struct Clara {
     pub algid: AlgoIdentifier,
     /// Scale-out core-count model (GBDT).
     pub scaleout: ScaleoutModel,
-    /// NIC configuration used for training and analysis.
+    /// NIC configuration used for training and analysis (the default
+    /// device's; saved with the model).
     pub nic: NicConfig,
     /// Default inference precision (from [`ClaraConfig::precision`] at
     /// train time, saved with the model). Entry points without an
@@ -236,9 +226,10 @@ pub struct Insights {
 }
 
 /// The lightweight performance-parameter bundle served per request by
-/// `clara serve` and returned by [`Clara::predict_one`]/
-/// [`Clara::predict_batch`]: the paper's §3 predictions without the §4
-/// porting strategies (no placement ILP, no coalescing clustering).
+/// `clara serve` and returned per item by
+/// [`Clara::predict_batch_on_prec_cached`]: the paper's §3 predictions
+/// without the §4 porting strategies (no placement ILP, no coalescing
+/// clustering).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
     /// Predicted NIC compute instructions per packet-handler invocation.
@@ -314,6 +305,7 @@ impl Clara {
         // serial run. Each branch reports (model, failures, tasks) so a
         // degraded run can be surfaced with exact counts.
         let rh = root.handle();
+        let nic = NicConfig::default();
         type Branch<M> = (Option<M>, Vec<engine::TaskFailure>, usize);
         // Instruction prediction: synthesized program/assembly pairs.
         let train_predictor = || -> Branch<InstructionPredictor> {
@@ -356,14 +348,11 @@ impl Clara {
         // Scale-out analysis.
         let train_scaleout = || -> Branch<ScaleoutModel> {
             let _branch = obs::span_under(rh, "train-scaleout-branch");
-            let (so_data, mut failures, mut total) = crate::scaleout::try_training_set(
-                cfg.scaleout_programs,
-                cfg.seed ^ 0x50,
-                &cfg.nic,
-            );
+            let (so_data, mut failures, mut total) =
+                crate::scaleout::try_training_set(cfg.scaleout_programs, cfg.seed ^ 0x50, &nic);
             total += 1;
             let fit = engine::try_time_stage("train-scaleout", || {
-                ScaleoutModel::train(ScaleoutKind::ClaraGbdt, &so_data, &cfg.nic, cfg.seed)
+                ScaleoutModel::train(ScaleoutKind::ClaraGbdt, &so_data, &nic, cfg.seed)
             });
             match fit {
                 Ok(so) => (Some(so), failures, total),
@@ -402,7 +391,7 @@ impl Clara {
                 predictor,
                 algid,
                 scaleout,
-                nic: cfg.nic.clone(),
+                nic,
                 precision: cfg.precision,
             }),
             _ => Err(ClaraError::Degraded { failed, total }),
@@ -517,49 +506,6 @@ impl Clara {
         })
     }
 
-    /// Predicts the performance parameters of one NF + workload — the
-    /// single-item form of [`Clara::predict_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::predict_batch`]'s per-item results.
-    pub fn predict_one(&self, module: &Module, trace: &Trace) -> Result<Prediction, ClaraError> {
-        self.predict_batch(&[(module, trace)])
-            .pop()
-            .expect("one item in, one result out")
-    }
-
-    /// [`Clara::predict_one`] against a specific device backend.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::predict_batch`]'s per-item results.
-    pub fn predict_one_on(
-        &self,
-        module: &Module,
-        trace: &Trace,
-        backend: &dyn clara_hal::Backend,
-    ) -> Result<Prediction, ClaraError> {
-        self.predict_one_on_prec(module, trace, backend, self.precision)
-    }
-
-    /// [`Clara::predict_one_on`] at an explicit precision.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::predict_batch`]'s per-item results.
-    pub fn predict_one_on_prec(
-        &self,
-        module: &Module,
-        trace: &Trace,
-        backend: &dyn clara_hal::Backend,
-        precision: Precision,
-    ) -> Result<Prediction, ClaraError> {
-        self.predict_batch_on_prec(&[(module, trace)], backend, precision)
-            .pop()
-            .expect("one item in, one result out")
-    }
-
     /// The trace-independent half of a prediction (verification, LSTM
     /// compute estimate, memory count), memoized process-wide by
     /// (predictor, module, precision). `module_fp` is the module's
@@ -598,16 +544,44 @@ impl Clara {
         Ok(value)
     }
 
-    /// Predicts performance parameters for a whole batch of
-    /// `(module, trace)` pairs in **one** engine stage.
+    /// Content fingerprint of the trained predictor weights, the
+    /// `predictor_fp` argument of [`Clara::predict_batch_on_prec_cached`].
+    /// Hashing the full weight tensors costs milliseconds, which is noise
+    /// on a one-shot CLI run but dominates a warm sub-millisecond serving
+    /// request; a resident server should call this **once** and reuse
+    /// the value.
+    pub fn predictor_fingerprint(&self) -> u64 {
+        engine::value_fingerprint(&self.predictor)
+    }
+
+    /// Predicts performance parameters for a batch of `(module, trace)`
+    /// pairs on `backend` at `precision`: the one predict entry point,
+    /// for a single item as for a batch.
     ///
-    /// This is the serving-path entry point: the batch fans out across
-    /// the worker pool as a single `predict-batch` [`crate::engine`]
-    /// stage (instead of one facade call per request), and every item
-    /// reuses one request-scoped [`engine::Engine`] handle so compiles
-    /// and profiles are shared through the process-wide caches. Results
-    /// come back in input order and are bit-identical to calling
-    /// [`Clara::predict_one`] per item serially.
+    /// The batch runs as **one** `predict-batch` [`crate::engine`]
+    /// stage across the worker pool (instead of one facade call per
+    /// request), and every item reuses one request-scoped
+    /// [`engine::Engine`] handle so compiles and profiles are shared
+    /// through the process-wide caches. Results come back in input order,
+    /// and each is bit-identical to a one-item call with the same
+    /// arguments.
+    ///
+    /// The trained models are reused as-is (compute and memory
+    /// predictions are device-independent), while profiling, the
+    /// scale-out estimate and the modeled operating point use the
+    /// backend's device configuration, and its manifest fingerprint keys
+    /// the engine caches, so two devices never share a cached profile.
+    /// `Q16` routes model inference (compute estimate and core
+    /// suggestion) through the fixed-point twins; counted memory,
+    /// profiling and the performance model are precision-independent.
+    ///
+    /// `predictor_fp` must be this instance's
+    /// [`Clara::predictor_fingerprint`]. The trace-independent half of a
+    /// prediction (IR verification, LSTM compute estimate, memory count)
+    /// is a pure function of (trained predictor, module, precision) and
+    /// is memoized process-wide under it; a fingerprint that was not
+    /// produced from this instance's predictor poisons that memo with
+    /// misattributed entries, so callers must cache it per instance.
     ///
     /// # Errors
     ///
@@ -617,59 +591,6 @@ impl Clara {
     /// model estimate, and [`ClaraError::Degraded`] when the item's
     /// engine task failed permanently (panic past the retry budget or a
     /// stage deadline).
-    pub fn predict_batch(
-        &self,
-        items: &[(&Module, &Trace)],
-    ) -> Vec<Result<Prediction, ClaraError>> {
-        let backend_fp = engine::value_fingerprint(&self.nic);
-        let predictor_fp = self.predictor_fingerprint();
-        self.predict_batch_with(items, &self.nic, backend_fp, self.precision, predictor_fp)
-    }
-
-    /// [`Clara::predict_batch`] against a specific device backend: the
-    /// trained models are reused as-is (compute and memory predictions
-    /// are device-independent), while profiling, the scale-out estimate,
-    /// and the modeled operating point use the backend's device
-    /// configuration — and its manifest fingerprint keys the engine
-    /// caches, so two devices never share a cached profile.
-    pub fn predict_batch_on(
-        &self,
-        items: &[(&Module, &Trace)],
-        backend: &dyn clara_hal::Backend,
-    ) -> Vec<Result<Prediction, ClaraError>> {
-        self.predict_batch_on_prec(items, backend, self.precision)
-    }
-
-    /// [`Clara::predict_batch_on`] at an explicit precision: `Q16` routes
-    /// model inference (compute estimate and core suggestion) through the
-    /// fixed-point twins; counted memory, profiling, and the performance
-    /// model are precision-independent.
-    pub fn predict_batch_on_prec(
-        &self,
-        items: &[(&Module, &Trace)],
-        backend: &dyn clara_hal::Backend,
-        precision: Precision,
-    ) -> Vec<Result<Prediction, ClaraError>> {
-        let predictor_fp = self.predictor_fingerprint();
-        self.predict_batch_with(items, backend.nic(), backend.fingerprint(), precision, predictor_fp)
-    }
-
-    /// Content fingerprint of the trained predictor weights — the part
-    /// of the trace-independent prediction memo key that never changes
-    /// for a given instance. Hashing the full weight tensors costs
-    /// milliseconds, which is noise on a one-shot CLI run but dominates
-    /// a warm sub-millisecond serving request; a resident server should
-    /// call this **once** and reuse the value through
-    /// [`Clara::predict_batch_on_prec_cached`].
-    pub fn predictor_fingerprint(&self) -> u64 {
-        engine::value_fingerprint(&self.predictor)
-    }
-
-    /// [`Clara::predict_batch_on_prec`] with a precomputed
-    /// [`Clara::predictor_fingerprint`]: the serving-path entry point.
-    /// Passing a fingerprint that was not produced from this instance's
-    /// predictor poisons the process-wide memo with misattributed
-    /// entries, so callers must cache it per instance.
     pub fn predict_batch_on_prec_cached(
         &self,
         items: &[(&Module, &Trace)],
@@ -677,22 +598,8 @@ impl Clara {
         precision: Precision,
         predictor_fp: u64,
     ) -> Vec<Result<Prediction, ClaraError>> {
-        self.predict_batch_with(items, backend.nic(), backend.fingerprint(), precision, predictor_fp)
-    }
-
-    fn predict_batch_with(
-        &self,
-        items: &[(&Module, &Trace)],
-        nic: &NicConfig,
-        backend_fp: u64,
-        precision: Precision,
-        // The trace-independent half of a prediction (IR verification,
-        // LSTM compute estimate, memory count) is a pure function of
-        // (trained predictor, module) — memoized process-wide under this
-        // fingerprint of the predictor weights, which covers the whole
-        // batch (and, for a resident server, its whole lifetime).
-        predictor_fp: u64,
-    ) -> Vec<Result<Prediction, ClaraError>> {
+        let nic = backend.nic();
+        let backend_fp = backend.fingerprint();
         let eng = engine::Engine::new();
         let naive = PortConfig::naive();
         let outcome = engine::try_par_map("predict-batch", items, |_, &(module, trace)| {
@@ -765,27 +672,14 @@ impl Clara {
         self.analyze_with(module, trace, &self.nic, backend_fp, precision)
     }
 
-    /// [`Clara::analyze`] against a specific device backend: identical
-    /// code path and span tree, but the profiling run, placement
-    /// capacities, scale-out estimate, and coalescing evaluation all use
-    /// the backend's device configuration, and its manifest fingerprint
-    /// keys the engine caches. Analyzing on the default backend is
-    /// bit-identical to [`Clara::analyze`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::analyze`].
-    pub fn analyze_on(
-        &self,
-        module: &Module,
-        trace: &Trace,
-        backend: &dyn clara_hal::Backend,
-    ) -> Result<Insights, ClaraError> {
-        self.analyze_on_prec(module, trace, backend, self.precision)
-    }
-
-    /// [`Clara::analyze_on`] at an explicit precision (see
-    /// [`Clara::predict_batch_on_prec`] for what the precision covers).
+    /// [`Clara::analyze`] against a specific device backend at an
+    /// explicit precision: identical code path and span tree, but the
+    /// profiling run, placement capacities, scale-out estimate, and
+    /// coalescing evaluation all use the backend's device configuration,
+    /// and its manifest fingerprint keys the engine caches. Analyzing on
+    /// the default backend at the model's precision is bit-identical to
+    /// [`Clara::analyze`]. See [`Clara::predict_batch_on_prec_cached`] for
+    /// what the precision covers.
     ///
     /// # Errors
     ///
@@ -963,12 +857,18 @@ mod tests {
             .zip(traces.iter())
             .map(|(e, t)| (&e.module, t))
             .collect();
-        let batch = clara.predict_batch(&items);
+        let default = clara_hal::default_backend();
+        let fp = clara.predictor_fingerprint();
+        let batch = clara.predict_batch_on_prec_cached(&items, default, clara.precision, fp);
         assert_eq!(batch.len(), items.len());
         for ((e, t), p) in elems.iter().zip(traces.iter()).zip(batch.iter().map(|r| {
             r.as_ref().expect("batch item succeeds")
         })) {
-            let one = clara.predict_one(&e.module, t).expect("predict_one succeeds");
+            let one = clara
+                .predict_batch_on_prec_cached(&[(&e.module, t)], default, clara.precision, fp)
+                .pop()
+                .expect("one item in, one result out")
+                .expect("predict_one succeeds");
             assert_eq!(&one, p, "batch and single-item predictions must agree");
             let insights = clara.analyze(&e.module, t).expect("analyze succeeds");
             assert_eq!(p.predicted_compute, insights.predicted_compute);
@@ -978,7 +878,12 @@ mod tests {
         // Per-item failures stay per-item: an empty trace fails its slot
         // without poisoning the rest of the batch.
         let empty = Trace::generate(&WorkloadSpec::large_flows(), 0, 1);
-        let mixed = clara.predict_batch(&[(&elems[0].module, &empty), items[1]]);
+        let mixed = clara.predict_batch_on_prec_cached(
+            &[(&elems[0].module, &empty), items[1]],
+            default,
+            clara.precision,
+            fp,
+        );
         assert!(matches!(mixed[0], Err(ClaraError::EmptyTrace)));
         assert!(mixed[1].is_ok());
     }

@@ -13,7 +13,9 @@
 //! - [`suggest_split`]: evaluates every prefix split (stages `0..k` on
 //!   the NIC, `k..n` on the host) and reports throughput, latency, and —
 //!   the quantity the paper's introduction optimizes — **host CPU cores
-//!   freed** for revenue work.
+//!   freed** for revenue work. [`crate::placement::plan`] re-exports it
+//!   with [`best_split`], and [`crate::Clara::place`] runs it for the
+//!   chain-split half of every placement plan.
 
 use nic_sim::{solve_perf, NicConfig, PortConfig, WorkloadProfile};
 use serde::{Deserialize, Serialize};
@@ -99,22 +101,7 @@ pub struct SplitPlan {
 /// # Panics
 ///
 /// Panics if inputs mismatch or the chain fails to run (element bugs).
-#[deprecated(note = "use clara_core::placement::plan::suggest_split instead")]
 pub fn suggest_split(
-    modules: &[&nf_ir::Module],
-    trace: &Trace,
-    ports: &[&PortConfig],
-    nic_cfg: &NicConfig,
-    nic_cores: u32,
-    host: &HostConfig,
-    setup: impl FnOnce(&mut click_model::Chain),
-) -> Vec<SplitPlan> {
-    split_plans(modules, trace, ports, nic_cfg, nic_cores, host, setup)
-}
-
-/// The split evaluator behind [`crate::placement::plan::suggest_split`]
-/// (and the deprecated [`suggest_split`] shim above).
-pub(crate) fn split_plans(
     modules: &[&nf_ir::Module],
     trace: &Trace,
     ports: &[&PortConfig],
@@ -210,7 +197,7 @@ mod tests {
         let cfg = NicConfig::default();
         let naive = PortConfig::naive();
         let pfx = u64::from(trace.pkts[0].flow.src_ip >> 12);
-        split_plans(
+        suggest_split(
             &[&fw.module, &nat.module, &stats.module],
             &trace,
             &[&naive, &naive, &naive],

@@ -12,9 +12,8 @@
 //! The canonical placement API lives in [`plan`]: a typed
 //! [`plan::PlacementRequest`] flows into [`crate::Clara::place`] and
 //! returns a [`plan::PlacementPlan`]. The free functions kept at this
-//! level are either placement-agnostic helpers ([`apply_placement`],
-//! [`exhaustive_placement`]) or deprecated shims retained for one
-//! release.
+//! level are placement-agnostic helpers ([`apply_placement`],
+//! [`exhaustive_placement`]).
 
 use std::collections::BTreeMap;
 
@@ -26,19 +25,6 @@ pub mod plan;
 /// Fraction of each level's capacity available to NF state (the runtime
 /// reserves the rest for packet buffers and metadata).
 pub const CAPACITY_HEADROOM: f64 = 0.9;
-
-/// Clara's ILP-based placement suggestion.
-///
-/// Returns `None` when the instance is infeasible (state larger than the
-/// NIC's memory).
-#[deprecated(note = "use clara_core::placement::plan::suggest_placement instead")]
-pub fn suggest_placement(
-    module: &Module,
-    wp: &WorkloadProfile,
-    cfg: &NicConfig,
-) -> Option<BTreeMap<GlobalId, MemLevel>> {
-    plan::suggest_placement(module, wp, cfg)
-}
 
 /// Applies a placement map to a port configuration.
 pub fn apply_placement(

@@ -54,11 +54,11 @@ use trafgen::{Schedule, Trace, WorkloadSpec, BUILTIN_SCHEDULES};
 use crate::clara::Clara;
 use crate::engine;
 use crate::error::{ClaraError, PlacementFailure};
-use crate::partial::{self, HostConfig, SplitPlan};
+use crate::partial::HostConfig;
 use crate::placement::{apply_placement, CAPACITY_HEADROOM};
 use tinyml::quant::Precision;
 
-pub use crate::partial::best_split;
+pub use crate::partial::{best_split, suggest_split};
 
 /// Default branch-and-bound node budget per NF. Corpus instances solve
 /// in well under a thousand nodes; exceeding this surfaces as a typed
@@ -553,9 +553,8 @@ pub fn greedy_placement(
         .map(|g| to_placement(module, &g.assignment))
 }
 
-/// Clara's ILP-based placement suggestion (the canonical home of the
-/// former `placement::suggest_placement`). Returns `None` when the
-/// instance is infeasible.
+/// Clara's ILP-based placement suggestion. Returns `None` when the
+/// instance is infeasible (state larger than the NIC's memory).
 pub fn suggest_placement(
     module: &Module,
     wp: &WorkloadProfile,
@@ -564,25 +563,6 @@ pub fn suggest_placement(
     solve_nf(module, wp, cfg, DEFAULT_NODE_BUDGET)
         .ok()
         .map(|s| s.placement)
-}
-
-/// Evaluates every prefix split of a chain (the canonical home of the
-/// former [`crate::partial::suggest_split`]); see [`crate::partial`] for
-/// the host and PCIe models.
-///
-/// # Panics
-///
-/// Panics if inputs mismatch or the chain fails to run (element bugs).
-pub fn suggest_split(
-    modules: &[&Module],
-    trace: &Trace,
-    ports: &[&PortConfig],
-    nic_cfg: &NicConfig,
-    nic_cores: u32,
-    host: &HostConfig,
-    setup: impl FnOnce(&mut click_model::Chain),
-) -> Vec<SplitPlan> {
-    partial::split_plans(modules, trace, ports, nic_cfg, nic_cores, host, setup)
 }
 
 /// Relative L1 drift between two access profiles of the same NF: the
@@ -665,29 +645,21 @@ fn solve_all(
 
 impl Clara {
     /// Plans placement for an NF set: resolves the request's builtin
-    /// backend (session default when unset) and delegates to
-    /// [`Clara::place_on`]. This is the single typed entry point behind
-    /// `clara place` and serve `op:"place"`.
+    /// backend (session default when unset) and its precision (model
+    /// default when unset), then runs [`Clara::place_on_prec`]. This is
+    /// the typed entry point behind `clara place`.
     pub fn place(&self, req: &PlacementRequest) -> Result<PlacementPlan, ClaraError> {
         let backend: &dyn clara_hal::Backend = match &req.backend {
             Some(name) => crate::difftest::resolve_backends(std::slice::from_ref(name))?[0],
             None => clara_hal::default_backend(),
         };
-        self.place_on(req, backend)
-    }
-
-    /// Plans placement against an explicit backend (a warm server's
-    /// loaded device, or a manifest loaded from disk), at the request's
-    /// precision (model default when unset).
-    pub fn place_on(
-        &self,
-        req: &PlacementRequest,
-        backend: &dyn clara_hal::Backend,
-    ) -> Result<PlacementPlan, ClaraError> {
         self.place_on_prec(req, backend, req.precision.unwrap_or(self.precision))
     }
 
     /// Fully explicit placement planning: request × backend × precision.
+    /// The backend may be a warm server's loaded device or a manifest
+    /// loaded from disk; `req.backend` and `req.precision` are not
+    /// consulted.
     pub fn place_on_prec(
         &self,
         req: &PlacementRequest,
@@ -902,7 +874,7 @@ impl Clara {
 
         let module_refs: Vec<&Module> = modules.iter().map(|e| &e.module).collect();
         let port_refs: Vec<&PortConfig> = ports.iter().collect();
-        let split_plans = partial::split_plans(
+        let split_plans = suggest_split(
             &module_refs,
             &basis_trace,
             &port_refs,

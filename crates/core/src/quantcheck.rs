@@ -43,7 +43,8 @@ pub struct QuantcheckConfig {
     pub packets: usize,
     /// Trace RNG seed.
     pub seed: u64,
-    /// Timing repetitions for the predict-stage speed measurement.
+    /// Timing repetitions for the predict-stage speed measurement: each
+    /// rep is one corpus pass per precision.
     pub reps: usize,
     /// Relative tolerance (defaults to [`QUANT_REL_TOLERANCE`]).
     pub rel_tol: f64,
@@ -97,11 +98,13 @@ pub struct NfQuantRow {
 pub struct QuantcheckReport {
     /// One row per corpus NF, corpus order.
     pub rows: Vec<NfQuantRow>,
-    /// Predict-stage wall time over all NFs × reps, f64 path (ms).
+    /// Median predict-stage wall time of one pass over all NFs, f64
+    /// path (ms).
     pub f64_ms: f64,
-    /// Predict-stage wall time over all NFs × reps, Q16 path (ms).
+    /// Median predict-stage wall time of one pass over all NFs, Q16
+    /// path (ms).
     pub q16_ms: f64,
-    /// `f64_ms / q16_ms`.
+    /// `f64_ms / q16_ms`: the ratio of the per-pass medians.
     pub speedup: f64,
 }
 
@@ -214,18 +217,30 @@ pub fn run(clara: &Clara, cfg: &QuantcheckConfig) -> Result<QuantcheckReport, Cl
     }
 
     // Timing: the module-level predict stage (what serve's batch path
-    // runs per miss), both precisions, identical work lists.
-    let time_precision = |p: Precision| {
+    // runs per miss), both precisions, identical work lists. Each rep
+    // times one pass per precision back to back, alternating which goes
+    // first, and the speedup compares per-pass medians: neither pass
+    // order nor a slow stretch of the host decides the reading.
+    let pass_ms = |p: Precision| {
         let start = Instant::now();
-        for _ in 0..cfg.reps.max(1) {
-            for e in &corpus {
-                std::hint::black_box(clara.predictor.predict_module_compute_prec(&e.module, p));
-            }
+        for e in &corpus {
+            std::hint::black_box(clara.predictor.predict_module_compute_prec(&e.module, p));
         }
         start.elapsed().as_secs_f64() * 1e3
     };
-    let f64_ms = time_precision(Precision::F64);
-    let q16_ms = time_precision(Precision::Q16);
+    let reps = cfg.reps.max(1);
+    let (mut f64_passes, mut q16_passes) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for rep in 0..reps {
+        if rep.is_multiple_of(2) {
+            f64_passes.push(pass_ms(Precision::F64));
+            q16_passes.push(pass_ms(Precision::Q16));
+        } else {
+            q16_passes.push(pass_ms(Precision::Q16));
+            f64_passes.push(pass_ms(Precision::F64));
+        }
+    }
+    let f64_ms = median(&mut f64_passes);
+    let q16_ms = median(&mut q16_passes);
     let speedup = f64_ms / q16_ms.max(1e-9);
 
     let report = QuantcheckReport {
@@ -256,6 +271,18 @@ pub fn run(clara: &Clara, cfg: &QuantcheckConfig) -> Result<QuantcheckReport, Cl
         }
     }
     Ok(report)
+}
+
+/// Median of a non-empty sample (mean of the middle two for an even
+/// count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
 }
 
 /// Builds the human-readable detail (and optional artifact) for the
@@ -379,5 +406,12 @@ mod tests {
         assert!(within(10.1, 10.0, &cfg));
         assert!(!within(10.8, 10.0, &cfg));
         assert!(within(0.3, 0.0, &cfg), "absolute floor covers tiny blocks");
+    }
+
+    #[test]
+    fn median_takes_the_middle_pass() {
+        assert_eq!(median(&mut [9.0, 1.0, 4.0]), 4.0);
+        assert_eq!(median(&mut [9.0, 1.0, 4.0, 2.0]), 3.0);
+        assert_eq!(median(&mut [5.0]), 5.0);
     }
 }

@@ -18,9 +18,7 @@
 //! typed solver-timeout instead of a hang) and
 //! [`AssignmentProblem::solve_greedy`] (the cheapest-fitting-bin
 //! heuristic the exact solver seeds itself with, exposed so callers can
-//! difftest plans against the fallback). The panicking
-//! [`AssignmentProblem::solve`] is a deprecated shim kept for one
-//! release.
+//! difftest plans against the fallback).
 //!
 //! # Examples
 //!
@@ -50,11 +48,6 @@ pub struct AssignmentProblem {
     /// Location capacities.
     pub caps: Vec<u64>,
 }
-
-/// Deprecated alias for [`AssignmentProblem`], kept one release so
-/// facade-path callers migrate to `clara_core::placement::plan`.
-#[deprecated(note = "use AssignmentProblem (or clara_core::placement::plan) instead")]
-pub type IlpProblem = AssignmentProblem;
 
 /// A feasible assignment and its total cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,20 +179,6 @@ impl AssignmentProblem {
     pub fn solve_greedy(&self) -> Result<Option<Solution>, IlpError> {
         self.validate()?;
         Ok(greedy(self, &branch_order(self)))
-    }
-
-    /// Solves the instance exactly; `None` when infeasible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instance fails [`AssignmentProblem::validate`].
-    #[deprecated(note = "use solve_within (typed errors, node budget) instead")]
-    pub fn solve(&self) -> Option<Solution> {
-        match self.solve_within(u64::MAX) {
-            Ok(sol) => sol,
-            Err(IlpError::BudgetExhausted { .. }) => unreachable!("unbounded budget"),
-            Err(_) => panic!("malformed assignment problem"),
-        }
     }
 
     /// Brute-force optimum (for testing; exponential in items).
@@ -459,17 +438,5 @@ mod tests {
             caps: vec![5, 5],
         };
         assert_eq!(p.solve_within(1 << 20), Err(IlpError::SizeMismatch));
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed")]
-    fn deprecated_solve_still_panics_on_malformed_instance() {
-        let p = AssignmentProblem {
-            costs: vec![vec![1.0, 2.0]],
-            sizes: vec![1, 2],
-            caps: vec![5, 5],
-        };
-        #[allow(deprecated)]
-        let _ = p.solve();
     }
 }

@@ -1,5 +1,5 @@
-//! The daemon: TCP + UDS acceptors, per-tenant work queues, sharded
-//! worker pool.
+//! The daemon: one acceptor for TCP and UDS, per-tenant work queues,
+//! sharded worker pool.
 //!
 //! Life of a request: a connection thread reads one request (a line or
 //! a frame — see [`crate::transport`]; either is capped at
@@ -25,7 +25,7 @@
 //! visit. A visit coalesces runs of adjacent `predict` jobs (each a
 //! prediction-cache miss) bound for
 //! the *same device backend at the same precision* into one
-//! [`Clara::predict_batch_on_prec`] call — coalescing never crosses
+//! [`Clara::predict_batch_on_prec_cached`] call — coalescing never crosses
 //! tenants. Workers are **sharded**: tenant *k* (registration order) is
 //! pinned to shard `k % workers` and worker *i* serves shard
 //! `i % min(workers, tenants)`, so a single tenant's burst occupies its
@@ -344,7 +344,7 @@ pub struct Server;
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptors: Vec<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
     uds_path: Option<String>,
     /// Root span kept open for the server's lifetime so every request's
@@ -354,7 +354,7 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds, spawns the worker pool and acceptor(s), and returns
+    /// Binds, spawns the worker pool and the acceptor, and returns
     /// immediately.
     ///
     /// # Errors
@@ -443,28 +443,23 @@ impl Server {
             })
             .collect();
 
-        let mut acceptors = vec![{
+        let listeners = Listeners {
+            tcp: listener,
+            #[cfg(unix)]
+            uds: uds_listener,
+        };
+        let acceptor = {
             let s = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("clara-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &s))
+                .spawn(move || accept_loop(&listeners, &s))
                 .expect("spawn acceptor thread")
-        }];
-        #[cfg(unix)]
-        if let Some(l) = uds_listener {
-            let s = Arc::clone(&shared);
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name("clara-serve-accept-uds".to_string())
-                    .spawn(move || uds_accept_loop(&l, &s))
-                    .expect("spawn UDS acceptor thread"),
-            );
-        }
+        };
 
         Ok(ServerHandle {
             addr,
             shared,
-            acceptors,
+            acceptor,
             workers,
             uds_path: opts.uds_path.clone(),
             root_guard: Some(root_guard),
@@ -498,7 +493,7 @@ impl ServerHandle {
     }
 
     /// Programmatic drain: stop admission and (once quiesced) the
-    /// acceptors. Equivalent to the wire `drain` op minus the report
+    /// acceptor. Equivalent to the wire `drain` op minus the report
     /// response.
     pub fn drain(&self) {
         self.shared.begin_drain();
@@ -506,14 +501,12 @@ impl ServerHandle {
         self.shared.stopped.store(true, Ordering::SeqCst);
     }
 
-    /// Waits for the acceptors and workers to exit (i.e. for a drain to
+    /// Waits for the acceptor and workers to exit (i.e. for a drain to
     /// complete), closes the root span, writes a final run report when a
     /// `CLARA_REPORT` sink is configured, and returns the lifetime
     /// summary.
     pub fn join(mut self) -> ServeSummary {
-        for a in self.acceptors.drain(..) {
-            a.join().expect("acceptor thread panicked");
-        }
+        self.acceptor.join().expect("acceptor thread panicked");
         for w in self.workers.drain(..) {
             w.join().expect("worker thread panicked");
         }
@@ -536,26 +529,38 @@ impl ServerHandle {
     }
 }
 
-// ---- acceptors ---------------------------------------------------------
+// ---- acceptor ----------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, s: &Arc<Shared>) {
+/// The daemon's non-blocking listeners: TCP lines always, UDS frames
+/// when [`ServeOptions::uds_path`] is set.
+struct Listeners {
+    tcp: TcpListener,
+    #[cfg(unix)]
+    uds: Option<UnixListener>,
+}
+
+/// The one acceptor. std cannot wait on two listeners and the SIGTERM
+/// flag at once, so it polls: each pass takes at most one connection
+/// from each listener, sleeps 10 ms only when neither yielded one, and
+/// checks SIGTERM and the stop flag once.
+fn accept_loop(l: &Listeners, s: &Arc<Shared>) {
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let s = Arc::clone(s);
-                // Connection threads are deliberately detached: they park
-                // on blocking reads for as long as the client keeps the
-                // connection open, so joining them would hand shutdown
-                // latency to the slowest client.
-                std::thread::Builder::new()
-                    .name("clara-serve-conn".to_string())
-                    .spawn(move || handle_conn(stream, &s))
-                    .expect("spawn connection thread");
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        let mut idle = true;
+        if let Ok((stream, _)) = l.tcp.accept() {
+            idle = false;
+            let s = Arc::clone(s);
+            let thread = std::thread::Builder::new().name("clara-serve-conn".to_string());
+            spawn_detached(thread, move || handle_conn(stream, &s));
+        }
+        #[cfg(unix)]
+        if let Some(Ok((stream, _))) = l.uds.as_ref().map(UnixListener::accept) {
+            idle = false;
+            let s = Arc::clone(s);
+            let thread = std::thread::Builder::new().name("clara-serve-conn-uds".to_string());
+            spawn_detached(thread, move || handle_conn_framed(stream, &s));
+        }
+        if idle {
+            std::thread::sleep(Duration::from_millis(10));
         }
         if term::signaled() && !s.stopped.load(Ordering::SeqCst) {
             s.begin_drain();
@@ -568,26 +573,14 @@ fn accept_loop(listener: &TcpListener, s: &Arc<Shared>) {
     }
 }
 
-#[cfg(unix)]
-fn uds_accept_loop(listener: &UnixListener, s: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let s = Arc::clone(s);
-                std::thread::Builder::new()
-                    .name("clara-serve-conn-uds".to_string())
-                    .spawn(move || handle_conn_framed(stream, &s))
-                    .expect("spawn UDS connection thread");
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-        if s.stopped.load(Ordering::SeqCst) {
-            return;
-        }
-    }
+/// Runs one connection on a detached thread: it parks on blocking reads
+/// for as long as the client keeps the connection open, so joining it
+/// would hand shutdown latency to the slowest client. `spawn` fails
+/// only when the process is at its thread or pid limit; it then drops
+/// `conn`, and with it the stream, which closes that one connection
+/// while the acceptor keeps accepting.
+fn spawn_detached(thread: std::thread::Builder, conn: impl FnOnce() + Send + 'static) {
+    let _ = thread.spawn(conn);
 }
 
 // ---- connection threads ------------------------------------------------
@@ -1539,4 +1532,31 @@ mod term {
 /// acceptor polls it). No-op on non-unix platforms.
 pub fn install_sigterm_drain() {
     term::install();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn a_connection_whose_thread_cannot_spawn_is_closed() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        // No address space holds a 1 EiB stack: this spawn fails the way
+        // one at the thread limit does, without creating any thread.
+        let doomed = std::thread::Builder::new().stack_size(1 << 60);
+        spawn_detached(doomed, move || {
+            let _held = stream;
+            loop {
+                std::thread::park();
+            }
+        });
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        let mut buf = [0u8; 1];
+        assert_eq!(client.read(&mut buf).expect("closed, not timed out"), 0);
+    }
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # HAL smoke test (CI job `hal-matrix`): exercise the device-backend CLI
 # surface end to end — list backends, run the manifest validation and
-# backend-matrix suites, produce a cross-device analysis matrix, run a
-# cross-backend difftest, and require the typed exit code for an
-# unknown backend name.
+# backend-matrix suites, produce a cross-device analysis matrix, and run
+# a cross-backend difftest. The typed exit code 8 for an unknown backend
+# name is pinned by `tests/backend_matrix.rs` in the tier-1 run.
 # Run from the repository root: ./scripts/hal_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,15 +37,5 @@ done
 # any divergence).
 "$BIN" difftest --seeds 40 --packets 24 --backends all
 
-# Unknown backend names are typed manifest errors, exit code 8.
-set +e
-"$BIN" analyze cmsketch --model "$MODEL" --backend no-such-device --packets 200
-code=$?
-set -e
-if [ "$code" -ne 8 ]; then
-  echo "hal_smoke: unknown backend exited $code (expected 8)" >&2
-  exit 1
-fi
-
 rm -f "$MODEL"
-echo "hal_smoke: ok (4 builtins listed, cross-device matrix + difftest clean, exit 8 pinned)"
+echo "hal_smoke: ok (4 builtins listed, cross-device matrix + difftest clean)"

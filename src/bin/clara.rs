@@ -412,7 +412,11 @@ fn run() -> Result<(), ClaraError> {
                 Some(name) => resolve_backend(name)?,
             };
             let precision = o.precision.unwrap_or(clara.precision);
-            let p = clara.predict_one_on_prec(&e.module, &trace, backend, precision)?;
+            let fp = clara.predictor_fingerprint();
+            let p = clara
+                .predict_batch_on_prec_cached(&[(&e.module, &trace)], backend, precision, fp)
+                .pop()
+                .expect("one item in, one result out")?;
             // Same rendering the daemon uses, so one-shot and served
             // predictions are directly comparable (and diffable).
             println!(
@@ -490,9 +494,16 @@ fn write_report(report: &Option<String>) {
 /// device, plus deltas against the default backend — the cross-device
 /// offloading comparison in table form.
 fn analyze_all_backends(clara: &Clara, e: &NfElement, trace: &Trace) -> Result<(), ClaraError> {
+    let fp = clara.predictor_fingerprint();
     let rows: Vec<(&DeviceBackend, clara_repro::clara::Prediction)> = hal::builtins()
         .iter()
-        .map(|b| clara.predict_one_on(&e.module, trace, b).map(|p| (b, p)))
+        .map(|b| {
+            clara
+                .predict_batch_on_prec_cached(&[(&e.module, trace)], b, clara.precision, fp)
+                .pop()
+                .expect("one item in, one result out")
+                .map(|p| (b, p))
+        })
         .collect::<Result<_, _>>()?;
     println!("== cross-backend predictions for `{}` ==", e.name());
     println!(
@@ -743,7 +754,8 @@ fn place_cmd(args: &[String]) -> Result<(), ClaraError> {
     });
     let plan = if from_file {
         let dev = DeviceBackend::load(backend.as_deref().expect("checked above"))?;
-        clara.place_on(&b.build(), &dev)?
+        let req = b.build();
+        clara.place_on_prec(&req, &dev, req.precision.unwrap_or(clara.precision))?
     } else {
         if let Some(name) = backend {
             b = b.backend(name);

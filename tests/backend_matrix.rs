@@ -15,6 +15,11 @@
 //!   the legacy pre-HAL path, and pins that report's fingerprint in
 //!   `tests/golden/backend_report_fp.txt`.
 //!
+//! The `cli_*` tests drive the `clara` binary as a subprocess on the same
+//! trained pipeline, saved once: `predict --backend` prints the facade's
+//! answer, `analyze --backend all` matches `tests/golden/cli_analyze_all.txt`,
+//! and an unknown `--backend` exits 8.
+//!
 //! Regenerate after an *intentional* change with:
 //!
 //! ```sh
@@ -22,10 +27,13 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 use std::sync::{Mutex, OnceLock};
 
-use clara_repro::clara::{engine, Clara, ClaraConfig};
+use clara_repro::clara::{engine, Clara, ClaraConfig, Precision};
 use clara_repro::hal::{self, Backend as _};
+use clara_repro::serve::protocol;
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
 /// Both tests drive the process-global engine and telemetry registry;
@@ -43,6 +51,43 @@ fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
 fn clara() -> &'static Clara {
     static CLARA: OnceLock<Clara> = OnceLock::new();
     CLARA.get_or_init(|| Clara::train(&ClaraConfig::fast(11)).expect("training succeeds"))
+}
+
+/// [`clara`] saved once for the CLI tests, so the subprocess answers
+/// from the same weights without a second training. The bytes are a
+/// deterministic function of the config; writing through a temporary
+/// and renaming keeps a concurrent run from reading a partial file.
+fn model_file() -> &'static Path {
+    static MODEL: OnceLock<PathBuf> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+        let path = dir.join("backend_matrix_model.json");
+        let tmp = dir.join(format!("backend_matrix_model.{}.tmp", std::process::id()));
+        clara().save(&tmp).expect("save model");
+        std::fs::rename(&tmp, &path).expect("move model into place");
+        path
+    })
+}
+
+/// Runs the `clara` binary on [`model_file`] with no run-report sink.
+fn clara_cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_clara"))
+        .args(args)
+        .arg("--model")
+        .arg(model_file())
+        .env_remove("CLARA_REPORT")
+        .output()
+        .expect("spawn clara")
+}
+
+fn stdout_of(out: &Output) -> String {
+    assert!(
+        out.status.success(),
+        "clara exited {:?}: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
 }
 
 fn golden_path(name: &str) -> String {
@@ -72,11 +117,14 @@ fn cross_device_matrix_matches_golden() {
         "# backend matrix golden: <element> <backend> cores=<suggested> \
          mpps=<throughput> lat_us=<latency> compute=<cycles/pkt> mem=<counted>\n",
     );
+    let fp = clara.predictor_fingerprint();
     for e in clara_repro::click::corpus() {
         let trace = Trace::generate(&WorkloadSpec::imix(), 60, 7);
         for b in hal::builtins() {
             let p = clara
-                .predict_one_on(&e.module, &trace, b)
+                .predict_batch_on_prec_cached(&[(&e.module, &trace)], b, clara.precision, fp)
+                .pop()
+                .expect("one item in, one result out")
                 .expect("prediction succeeds");
             writeln!(
                 out,
@@ -105,7 +153,9 @@ fn cross_device_matrix_matches_golden() {
             .expect("known corpus element");
         let trace = Trace::generate(&WorkloadSpec::imix(), 60, 7);
         for b in hal::builtins() {
-            let insights = clara.analyze_on(&e.module, &trace, b).expect("analyze succeeds");
+            let insights = clara
+                .analyze_on_prec(&e.module, &trace, b, clara.precision)
+                .expect("analyze succeeds");
             let port = insights.port_config();
             let wp =
                 clara_repro::nicsim::profile_workload(&e.module, &trace, &port, b.nic(), |_| {});
@@ -132,7 +182,9 @@ fn dpu_crc_variant_delta_is_attributable_to_the_catalog() {
         .find(|e| e.name() == "wepdecap")
         .expect("known corpus element");
     let dpu = hal::builtin("dpu-offpath").expect("shipped");
-    let insights = clara.analyze_on(&e.module, &trace, dpu).expect("analyze");
+    let insights = clara
+        .analyze_on_prec(&e.module, &trace, dpu, clara.precision)
+        .expect("analyze");
     let (class, _) = insights.accel.clone().expect("wepdecap has a CRC region");
     assert_eq!(class.name(), "crc");
     let port = insights.port_config();
@@ -198,7 +250,7 @@ fn default_backend_report_is_byte_identical_to_legacy() {
     assert_eq!(default_backend.name(), hal::DEFAULT_BACKEND);
     let on_default = capture(&|| {
         clara
-            .analyze_on(&e.module, &trace, default_backend)
+            .analyze_on_prec(&e.module, &trace, default_backend, clara.precision)
             .expect("analyze on default backend");
     });
     assert!(legacy.contains("clara-analyze"), "{legacy}");
@@ -210,4 +262,69 @@ fn default_backend_report_is_byte_identical_to_legacy() {
     // tree or the work-derived counters is an explicit golden update.
     let fp = format!("{:016x}\n", engine::value_fingerprint(&legacy));
     check_golden("backend_report_fp.txt", &fp);
+}
+
+#[test]
+fn cli_predict_prints_the_facade_answer() {
+    let _g = obs_lock();
+    let got = stdout_of(&clara_cli(&[
+        "predict",
+        "cmsketch",
+        "--backend",
+        "dpu-offpath",
+        "--precision",
+        "q16",
+        "--packets",
+        "300",
+        "--seed",
+        "5",
+    ]));
+    let loaded = Clara::load(model_file()).expect("load saved model");
+    let e = clara_repro::click::extended_corpus()
+        .into_iter()
+        .find(|e| e.name() == "cmsketch")
+        .expect("known corpus element");
+    let trace = Trace::generate(&WorkloadSpec::large_flows(), 300, 5);
+    let dpu = hal::builtin("dpu-offpath").expect("shipped");
+    let p = loaded
+        .predict_batch_on_prec_cached(
+            &[(&e.module, &trace)],
+            dpu,
+            Precision::Q16,
+            loaded.predictor_fingerprint(),
+        )
+        .pop()
+        .expect("one item in, one result out")
+        .expect("facade predict");
+    let want = protocol::predict_response(None, "cmsketch", "dpu-offpath", Precision::Q16, &p);
+    assert_eq!(got, format!("{want}\n"));
+}
+
+#[test]
+fn cli_analyze_all_backends_matches_golden() {
+    let _g = obs_lock();
+    let got = stdout_of(&clara_cli(&[
+        "analyze",
+        "cmsketch",
+        "--backend",
+        "all",
+        "--packets",
+        "200",
+    ]));
+    check_golden("cli_analyze_all.txt", &got);
+}
+
+#[test]
+fn cli_unknown_backend_exits_8() {
+    let _g = obs_lock();
+    for cmd in ["analyze", "predict"] {
+        let args = [cmd, "cmsketch", "--backend", "no-such-device", "--packets", "200"];
+        let out = clara_cli(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(8),
+            "clara {cmd} with an unknown backend: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

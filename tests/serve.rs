@@ -195,7 +195,16 @@ fn concurrent_requests_match_one_shot_facade() {
                     &ins,
                 )
             } else {
-                let p = clara.predict_one(&module, &trace).expect("facade predict");
+                let p = clara
+                    .predict_batch_on_prec_cached(
+                        &[(&module, &trace)],
+                        clara_repro::hal::default_backend(),
+                        clara.precision,
+                        clara.predictor_fingerprint(),
+                    )
+                    .pop()
+                    .expect("one item in, one result out")
+                    .expect("facade predict");
                 protocol::predict_response(Some(i as u64), nf, default, Precision::F64, &p)
             }
         })
@@ -385,11 +394,16 @@ fn per_request_backend_routing() {
     let trace = mk(None).trace();
     let agilio = clara_repro::hal::builtin("agilio-cx").expect("shipped");
     let dpu = clara_repro::hal::builtin("dpu-offpath").expect("shipped");
+    let fp = clara.predictor_fingerprint();
     let p_agilio = clara
-        .predict_one_on(&module, &trace, agilio)
+        .predict_batch_on_prec_cached(&[(&module, &trace)], agilio, clara.precision, fp)
+        .pop()
+        .expect("one item in, one result out")
         .expect("facade predict on agilio");
     let p_dpu = clara
-        .predict_one_on(&module, &trace, dpu)
+        .predict_batch_on_prec_cached(&[(&module, &trace)], dpu, clara.precision, fp)
+        .pop()
+        .expect("one item in, one result out")
         .expect("facade predict on dpu");
     // The devices must actually disagree (different clock and memory),
     // otherwise this test could pass with routing broken.
@@ -508,11 +522,16 @@ fn per_request_precision_routing() {
     };
     let trace = mk(None).trace();
     let default = clara_repro::hal::default_backend();
+    let fp = clara.predictor_fingerprint();
     let p_f64 = clara
-        .predict_one_on_prec(&module, &trace, default, Precision::F64)
+        .predict_batch_on_prec_cached(&[(&module, &trace)], default, Precision::F64, fp)
+        .pop()
+        .expect("one item in, one result out")
         .expect("facade predict at f64");
     let p_q16 = clara
-        .predict_one_on_prec(&module, &trace, default, Precision::Q16)
+        .predict_batch_on_prec_cached(&[(&module, &trace)], default, Precision::Q16, fp)
+        .pop()
+        .expect("one item in, one result out")
         .expect("facade predict at q16");
 
     let expected_for = |id: u64, precision: Option<Precision>| match precision {
@@ -798,7 +817,14 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
         clara_repro::hal::DEFAULT_BACKEND,
         Precision::F64,
         &clara
-            .predict_one(&module_of("cmsketch"), &w.trace())
+            .predict_batch_on_prec_cached(
+                &[(&module_of("cmsketch"), &w.trace())],
+                clara_repro::hal::default_backend(),
+                clara.precision,
+                clara.predictor_fingerprint(),
+            )
+            .pop()
+            .expect("one item in, one result out")
             .expect("facade predict"),
     );
     let resp = conn.send(&protocol::render_request_as(
