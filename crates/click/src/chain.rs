@@ -3,14 +3,14 @@
 //! "Packet processing often requires the use of multiple NFs" (paper
 //! Section 4.5) — a [`Chain`] wires elements in sequence: a packet enters
 //! the first element; if it is *sent* (any output port) it continues to
-//! the next element; if it is *dropped* the chain ends. The per-element
-//! traces are kept separate so each stage can be profiled, placed and
-//! ported independently — which is exactly how Clara's per-NF insights
-//! compose onto a chain.
+//! the next element; if it is *dropped* the chain ends. Each stage's
+//! events go to that stage's own sink, so each stage can be profiled,
+//! placed and ported independently — which is exactly how Clara's per-NF
+//! insights compose onto a chain.
 
 use nf_ir::Module;
 
-use crate::exec::{ExecTrace, TraceError};
+use crate::exec::{EventSink, ExecTrace, TraceError};
 use crate::interp::Machine;
 use crate::packet::{PacketView, Verdict};
 
@@ -77,31 +77,46 @@ impl Chain {
         }
     }
 
-    /// Pushes one packet through the chain.
+    /// Pushes one packet through the chain, recording each stage's trace.
     ///
     /// Each stage sees the (possibly rewritten) packet produced by the
     /// previous stage: header modifications propagate down the chain.
     pub fn run(&mut self, pkt: &trafgen::Packet) -> Result<ChainResult, TraceError> {
-        let mut view = PacketView::new(pkt);
-        let mut traces = Vec::with_capacity(self.stages.len());
-        let mut verdict = None;
-        let mut dropped_at = None;
-        for (i, stage) in self.stages.iter_mut().enumerate() {
-            // Each stage starts with a fresh verdict on the same view.
-            view.verdict = None;
-            let (trace, v) = stage.run_view(&mut view)?;
-            traces.push(trace);
-            verdict = v;
-            if v == Some(Verdict::Dropped) {
-                dropped_at = Some(i);
-                break;
-            }
-        }
+        let mut traces = vec![ExecTrace::default(); self.stages.len()];
+        let (verdict, dropped_at) = self.run_into(pkt, &mut traces)?;
+        traces.truncate(dropped_at.map_or(self.stages.len(), |i| i + 1));
         Ok(ChainResult {
             traces,
             verdict,
             dropped_at,
         })
+    }
+
+    /// Pushes one packet through the chain, handing stage `i`'s events to
+    /// `sinks[i]`. Returns the verdict of the last stage that ran and the
+    /// index of the stage that dropped the packet, if any; the sinks of
+    /// the stages after a drop receive nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sinks` is shorter than the chain.
+    pub fn run_into<S: EventSink>(
+        &mut self,
+        pkt: &trafgen::Packet,
+        sinks: &mut [S],
+    ) -> Result<(Option<Verdict>, Option<usize>), TraceError> {
+        assert!(sinks.len() >= self.stages.len(), "one sink per stage");
+        let mut view = PacketView::new(pkt);
+        let mut verdict = None;
+        for (i, (stage, sink)) in self.stages.iter_mut().zip(sinks).enumerate() {
+            // Each stage starts with a fresh verdict on the same view.
+            view.verdict = None;
+            verdict = stage.run_into(&mut view, sink)?;
+            if verdict == Some(Verdict::Dropped) {
+                return Ok((verdict, Some(i)));
+            }
+        }
+        Ok((verdict, None))
     }
 }
 
@@ -172,6 +187,55 @@ mod tests {
         // Admitted packets reached the counter.
         let counted = chain.stages[1].state.load(nf_ir::GlobalId(1), 0, 0, 4);
         assert_eq!(counted, 12);
+    }
+
+    /// `run_into` with recording sinks matches `run` and a hand-driven
+    /// pipeline of stand-alone machines over one packet view, including a
+    /// chain whose first stage drops every packet (the second sink stays
+    /// empty).
+    #[test]
+    fn run_into_recording_sinks_equals_run() {
+        let spec = WorkloadSpec {
+            tcp_ratio: 1.0,
+            ..WorkloadSpec::large_flows()
+        };
+        let trace = Trace::generate(&spec, 12, 5);
+        let fw = elements::firewall();
+        let anon = elements::anonipaddr();
+        let agg = elements::aggcounter();
+        for (modules, drops) in [
+            ([&anon.module, &agg.module], false),
+            ([&fw.module, &agg.module], true),
+        ] {
+            let mut by_run = Chain::new(modules).expect("verifies");
+            let mut by_sinks = Chain::new(modules).expect("verifies");
+            let mut by_hand: Vec<Machine> =
+                modules.iter().map(|m| Machine::new(m).expect("verifies")).collect();
+            for p in &trace.pkts {
+                let mut sinks = vec![ExecTrace::default(); 2];
+                let (verdict, dropped_at) = by_sinks.run_into(p, &mut sinks).expect("runs");
+                assert_eq!(dropped_at, drops.then_some(0));
+
+                let mut view = PacketView::new(p);
+                let mut want = Vec::new();
+                for m in &mut by_hand {
+                    view.verdict = None;
+                    let (t, v) = m.run_view(&mut view).expect("runs");
+                    want.push(t);
+                    if v == Some(Verdict::Dropped) {
+                        break;
+                    }
+                }
+                assert_eq!(verdict, view.verdict);
+                assert_eq!(sinks[..want.len()], want[..]);
+                assert!(sinks[want.len()..].iter().all(|t| *t == ExecTrace::default()));
+                assert!(want[0].steps > 0 && !want[0].events.is_empty());
+
+                let r = by_run.run(p).expect("runs");
+                assert_eq!((r.verdict, r.dropped_at), (verdict, dropped_at));
+                assert_eq!(r.traces, want);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Executable Click-element semantics: the reference executor and the
 //! execution traces every executor records per packet.
 //!
+//! An executor hands each event to an [`EventSink`]; [`ExecTrace`] is
+//! the sink that records them.
+//!
 //! [`RefMachine`] is "layer A" of the `clara difftest` oracle — an
 //! independently structured evaluator for the same NIR that
 //! [`crate::Machine`] interprets. It shares only the pieces that are
@@ -103,6 +106,32 @@ impl ExecTrace {
             Event::Api(a) => Some(a),
             _ => None,
         })
+    }
+}
+
+/// Where an executor puts the events of one packet, in program order.
+///
+/// [`ExecTrace`] is the recording sink. A consumer that needs each event
+/// only once (the NIC simulator's costing) implements this instead and
+/// sees every event as it happens, without a per-packet recording.
+pub trait EventSink {
+    /// Receives the next event.
+    fn event(&mut self, ev: Event);
+
+    /// Called once when the handler returns, with the interpreted
+    /// instruction count and the return value. Not called when the
+    /// packet fails with a [`TraceError`].
+    fn returned(&mut self, _steps: u64, _ret: Option<u64>) {}
+}
+
+impl EventSink for ExecTrace {
+    fn event(&mut self, ev: Event) {
+        self.events.push(ev);
+    }
+
+    fn returned(&mut self, steps: u64, ret: Option<u64>) {
+        self.steps = steps;
+        self.ret = ret;
     }
 }
 

@@ -7,7 +7,7 @@
 use nf_ir::{verify, ApiCall, BlockId, Function, Inst, MemRef, Module, Operand, Term, Ty, ValueId};
 use trafgen::Packet;
 
-use crate::exec::{ApiEvent, Event, ExecTrace, TraceError};
+use crate::exec::{ApiEvent, Event, EventSink, ExecTrace, TraceError};
 use crate::packet::{PacketView, Verdict};
 use crate::state::StateStore;
 
@@ -31,7 +31,7 @@ pub struct Machine {
 }
 
 /// Per-packet working storage, cleared (not freed) between packets so the
-/// steady-state interpreter loop allocates only the trace it returns.
+/// steady-state interpreter loop allocates nothing of its own.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// SSA values by `ValueId` (`None` = not yet defined this packet).
@@ -42,7 +42,8 @@ struct Scratch {
     phis: Vec<(ValueId, u64)>,
     /// Evaluated arguments of the current API call.
     args: Vec<u64>,
-    /// Event count of the previous packet: the next trace's capacity.
+    /// Event count of the previous recorded packet: the next recording's
+    /// capacity.
     events_hint: usize,
 }
 
@@ -101,13 +102,30 @@ impl Machine {
         &mut self,
         view: &mut PacketView,
     ) -> Result<(ExecTrace, Option<Verdict>), TraceError> {
+        let mut trace = ExecTrace {
+            events: Vec::with_capacity(self.scratch.events_hint),
+            ..ExecTrace::default()
+        };
+        let verdict = self.run_into(view, &mut trace)?;
+        self.scratch.events_hint = trace.events.len();
+        Ok((trace, verdict))
+    }
+
+    /// Processes one packet view, handing each event to `sink` as it
+    /// happens, and returns the verdict. [`Machine::run_view`] is this
+    /// with an [`ExecTrace`] as the sink.
+    pub fn run_into<S: EventSink>(
+        &mut self,
+        view: &mut PacketView,
+        sink: &mut S,
+    ) -> Result<Option<Verdict>, TraceError> {
         self.timestamp += 1;
         let func: &Function = self
             .module
             .funcs
             .first()
             .expect("verified module has a handler");
-        let result = exec(
+        exec(
             func,
             &mut self.state,
             view,
@@ -115,14 +133,16 @@ impl Machine {
             &mut self.timestamp,
             &mut self.rng_state,
             &mut self.scratch,
-        );
-        result.map(|trace| (trace, view.verdict))
+            sink,
+        )?;
+        Ok(view.verdict)
     }
 }
 
-/// Executes `func` against one packet view, reusing `scratch`'s buffers.
+/// Executes `func` against one packet view, reusing `scratch`'s buffers
+/// and handing each event to `sink`.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn exec(
+fn exec<S: EventSink>(
     func: &Function,
     state: &mut StateStore,
     view: &mut PacketView,
@@ -130,13 +150,14 @@ fn exec(
     timestamp: &mut u64,
     rng_state: &mut u64,
     scratch: &mut Scratch,
-) -> Result<ExecTrace, TraceError> {
+    sink: &mut S,
+) -> Result<(), TraceError> {
     let Scratch {
         env,
         slots,
         phis,
         args,
-        events_hint,
+        ..
     } = scratch;
     env.clear();
     env.resize(func.next_value as usize, None);
@@ -145,19 +166,16 @@ fn exec(
     }
     slots.clear();
     slots.resize(func.next_slot as usize, 0);
-    let mut trace = ExecTrace {
-        events: Vec::with_capacity(*events_hint),
-        ..ExecTrace::default()
-    };
+    let mut steps = 0u64;
     let mut cur = BlockId(0);
     let mut prev: Option<BlockId> = None;
 
-    'blocks: loop {
+    loop {
         let block = func
             .blocks
             .get(cur.index())
             .ok_or(TraceError::BadBlock { block: cur.0 })?;
-        trace.events.push(Event::Block(cur));
+        sink.event(Event::Block(cur));
 
         // Phase 1: evaluate phis atomically against the predecessor.
         phis.clear();
@@ -178,8 +196,8 @@ fn exec(
         }
 
         for inst in &block.insts {
-            trace.steps += 1;
-            if trace.steps > step_limit {
+            steps += 1;
+            if steps > step_limit {
                 return Err(TraceError::StepLimit { limit: step_limit });
             }
             match inst {
@@ -237,12 +255,12 @@ fn exec(
                     env[dst.index()] = Some(mask(v, *ty));
                 }
                 Inst::Load { dst, ty, mem } => {
-                    let v = do_load(state, env, slots, view, mem, *ty, &mut trace)?;
+                    let v = do_load(state, env, slots, view, mem, *ty, sink)?;
                     env[dst.index()] = Some(mask(v, *ty));
                 }
                 Inst::Store { ty, val, mem } => {
                     let v = mask(read_op(env, *val)?, *ty);
-                    do_store(state, env, slots, view, mem, *ty, v, &mut trace)?;
+                    do_store(state, env, slots, view, mem, *ty, v, sink)?;
                 }
                 Inst::Call {
                     dst,
@@ -253,7 +271,7 @@ fn exec(
                     for a in operands {
                         args.push(read_op(env, *a)?);
                     }
-                    let r = do_call(state, api, args, view, &mut trace, timestamp, rng_state)?;
+                    let r = do_call(state, api, args, view, sink, timestamp, rng_state)?;
                     if let Some(d) = dst {
                         env[d.index()] = Some(r);
                     }
@@ -261,8 +279,8 @@ fn exec(
             }
         }
 
-        trace.steps += 1;
-        if trace.steps > step_limit {
+        steps += 1;
+        if steps > step_limit {
             return Err(TraceError::StepLimit { limit: step_limit });
         }
         match &block.term {
@@ -280,23 +298,22 @@ fn exec(
                 cur = if c != 0 { *then_bb } else { *else_bb };
             }
             Term::Ret { val } => {
-                trace.ret = val.map(|v| read_op(env, v)).transpose()?;
-                break 'blocks;
+                let ret = val.map(|v| read_op(env, v)).transpose()?;
+                sink.returned(steps, ret);
+                return Ok(());
             }
         }
     }
-    *events_hint = trace.events.len();
-    Ok(trace)
 }
 
-fn do_load(
+fn do_load<S: EventSink>(
     state: &StateStore,
     env: &[Option<u64>],
     slots: &[u64],
     view: &PacketView,
     mem: &MemRef,
     ty: Ty,
-    trace: &mut ExecTrace,
+    sink: &mut S,
 ) -> Result<u64, TraceError> {
     match mem {
         MemRef::Stack { slot } => Ok(slots.get(*slot as usize).copied().unwrap_or(0)),
@@ -312,7 +329,7 @@ fn do_load(
                 Some(op) => read_op(env, *op)?,
                 None => 0,
             };
-            trace.events.push(Event::State {
+            sink.event(Event::State {
                 global: *global,
                 index: idx,
                 offset: *offset,
@@ -322,7 +339,7 @@ fn do_load(
             Ok(state.load(*global, idx, *offset, ty.bytes()))
         }
         MemRef::Pkt { field } => {
-            trace.events.push(Event::Pkt {
+            sink.event(Event::Pkt {
                 bytes: ty.bytes(),
                 write: false,
             });
@@ -332,7 +349,7 @@ fn do_load(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn do_store(
+fn do_store<S: EventSink>(
     state: &mut StateStore,
     env: &[Option<u64>],
     slots: &mut [u64],
@@ -340,7 +357,7 @@ fn do_store(
     mem: &MemRef,
     ty: Ty,
     value: u64,
-    trace: &mut ExecTrace,
+    sink: &mut S,
 ) -> Result<(), TraceError> {
     match mem {
         MemRef::Stack { slot } => {
@@ -361,7 +378,7 @@ fn do_store(
                 Some(op) => read_op(env, *op)?,
                 None => 0,
             };
-            trace.events.push(Event::State {
+            sink.event(Event::State {
                 global: *global,
                 index: idx,
                 offset: *offset,
@@ -372,7 +389,7 @@ fn do_store(
             Ok(())
         }
         MemRef::Pkt { field } => {
-            trace.events.push(Event::Pkt {
+            sink.event(Event::Pkt {
                 bytes: ty.bytes(),
                 write: true,
             });
@@ -388,12 +405,12 @@ fn do_store(
 /// counts are enforced exactly — a malformed lowering fails loudly with
 /// a typed error instead of silently defaulting or dropping arguments.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn do_call(
+pub(crate) fn do_call<S: EventSink>(
     state: &mut StateStore,
     api: &ApiCall,
     args: &[u64],
     view: &mut PacketView,
-    trace: &mut ExecTrace,
+    sink: &mut S,
     timestamp: &mut u64,
     rng_state: &mut u64,
 ) -> Result<u64, TraceError> {
@@ -412,7 +429,7 @@ pub(crate) fn do_call(
         })
     };
     let mut emit = |call: &ApiCall, probes: u32, hit: bool, bytes: u32| {
-        trace.events.push(Event::Api(ApiEvent {
+        sink.event(Event::Api(ApiEvent {
             call: call.clone(),
             probes,
             hit,

@@ -8,8 +8,10 @@
 //!   Netronome-style fixed-bucket hash maps and tombstoned vectors (the
 //!   semantics Clara's *reverse porting* targets, Section 3.3);
 //! - [`Machine`]: an interpreter that executes an NF's NIR module packet by
-//!   packet, recording an [`ExecTrace`] of basic-block visits, stateful
-//!   memory accesses, packet accesses, and framework API events;
+//!   packet, handing each event (basic-block visits, stateful memory
+//!   accesses, packet accesses, framework API events) to an
+//!   [`EventSink`] as it happens; an [`ExecTrace`] is the sink that
+//!   records them;
 //! - [`RefMachine`]: an independently written reference executor for the
 //!   same NIR, compared against [`Machine`] event-for-event by the
 //!   `clara difftest` oracle;
@@ -49,7 +51,7 @@ pub use chain::{Chain, ChainResult};
 pub use element::{
     corpus, extended_corpus, motivation_variants, ElementMeta, InsightClass, NfElement,
 };
-pub use exec::{ApiEvent, Event, ExecTrace, RefMachine, TraceError};
+pub use exec::{ApiEvent, Event, EventSink, ExecTrace, RefMachine, TraceError};
 pub use interp::Machine;
 pub use packet::{PacketSnapshot, PacketView};
 pub use state::{FlowCounters, StateStore};

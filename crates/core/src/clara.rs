@@ -30,7 +30,7 @@ use crate::engine;
 use crate::error::ClaraError;
 use crate::placement;
 use crate::predict::{
-    memory_count_accuracy, InstructionPredictor, PredictTrainConfig, PredictorKind,
+    memory_count_accuracy_fp, InstructionPredictor, PredictTrainConfig, PredictorKind,
 };
 use crate::prepare::prepare_module;
 use crate::scaleout::{ScaleoutKind, ScaleoutModel};
@@ -599,9 +599,8 @@ impl Clara {
         predictor_fp: u64,
     ) -> Vec<Result<Prediction, ClaraError>> {
         let nic = backend.nic();
-        let backend_fp = backend.fingerprint();
-        let eng = engine::Engine::new();
         let naive = PortConfig::naive();
+        let scope = engine::ProfileScope::new(&naive, nic, backend.fingerprint());
         let outcome = engine::try_par_map("predict-batch", items, |_, &(module, trace)| {
             if trace.pkts.is_empty() {
                 return Err(ClaraError::EmptyTrace);
@@ -611,7 +610,8 @@ impl Clara {
             let module_fp = nic_sim::module_fingerprint(module);
             let (predicted_compute, counted_mem) =
                 self.module_half(predictor_fp, module, module_fp, precision)?;
-            let profile = eng.profile_cached_fp(module, module_fp, trace, &naive, nic, backend_fp);
+            let trace_fp = nic_sim::trace_fingerprint(trace);
+            let profile = scope.profile(module, module_fp, trace, trace_fp);
             // Scale-out is trained once and parameterized by the device
             // at inference time; the clamp keeps suggestions honest for
             // devices with fewer cores than the training default.
@@ -668,7 +668,15 @@ impl Clara {
         trace: &Trace,
         precision: Precision,
     ) -> Result<Insights, ClaraError> {
-        let backend_fp = engine::value_fingerprint(&self.nic);
+        // The default device keys the caches by its manifest, as
+        // `analyze_on_prec(default_backend())` does, so the two share one
+        // entry; any other device keys by its configuration.
+        let default: &dyn clara_hal::Backend = clara_hal::default_backend();
+        let backend_fp = if self.nic == *default.nic() {
+            default.fingerprint()
+        } else {
+            engine::value_fingerprint(&self.nic)
+        };
         self.analyze_with(module, trace, &self.nic, backend_fp, precision)
     }
 
@@ -736,9 +744,17 @@ impl Clara {
         // so repeat analyses of the same NF + trace reuse the run. This
         // is the one engine task in the analyze path, so it runs under
         // the fault-tolerance machinery (retries, deadline, injection).
+        // The module's fingerprint keys the profile, the coalescing
+        // sweep's compile and the memory-count accuracy's compile.
+        let module_fp = nic_sim::module_fingerprint(module);
         let naive = PortConfig::naive();
         let profile = match engine::try_time_stage("analyze-profile", || {
-            engine::Engine::new().profile_cached_for(module, trace, &naive, nic, backend_fp)
+            engine::ProfileScope::new(&naive, nic, backend_fp).profile(
+                module,
+                module_fp,
+                trace,
+                nic_sim::trace_fingerprint(trace),
+            )
         }) {
             Ok(p) => p,
             Err(_) => {
@@ -755,7 +771,7 @@ impl Clara {
         };
         let coalesce = {
             let _s = obs::span("analyze-coalesce");
-            coalesce::suggest_coalescing(module, trace, 7)
+            coalesce::suggest_coalescing_fp(module, module_fp, trace, 7)
         };
         let suggested_cores = {
             let _s = obs::span("analyze-scaleout");
@@ -770,7 +786,7 @@ impl Clara {
         Ok(Insights {
             predicted_compute,
             counted_mem,
-            mem_count_accuracy: memory_count_accuracy(module),
+            mem_count_accuracy: memory_count_accuracy_fp(module, module_fp),
             accel,
             suggested_cores,
             placement,

@@ -12,9 +12,12 @@ use std::collections::BTreeMap;
 
 use click_model::Event;
 use nf_ir::{GlobalId, Module, StateKind};
+use nfcc::NicModule;
 use nic_sim::{CoalescePlan, PortConfig};
 use tinyml::kmeans::KMeans;
 use trafgen::Trace;
+
+use crate::engine::Engine;
 
 /// A coalescing variable: a scalar global (the paper's "global variables").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -95,15 +98,37 @@ pub fn access_vectors(module: &Module, rec: &nic_sim::RecordedWorkload) -> Acces
 /// inter-cluster distance", chosen by validation).
 pub fn suggest_coalescing(module: &Module, trace: &Trace, seed: u64) -> CoalescePlan {
     // Fewer than two scalars leave nothing to pack: answer before
-    // running the NF at all.
+    // running (or even compiling) the NF at all.
     if scalar_vars(module).len() < 2 {
         return CoalescePlan::default();
     }
+    let nic = Engine::new().compile_cached(module);
+    suggest_compiled(module, &nic, trace, seed)
+}
+
+/// [`suggest_coalescing`] of a module whose
+/// [`nic_sim::module_fingerprint`] is `module_fp`.
+pub(crate) fn suggest_coalescing_fp(
+    module: &Module,
+    module_fp: u64,
+    trace: &Trace,
+    seed: u64,
+) -> CoalescePlan {
+    if scalar_vars(module).len() < 2 {
+        return CoalescePlan::default();
+    }
+    let nic = Engine::new().compile_cached_fp(module, module_fp);
+    suggest_compiled(module, &nic, trace, seed)
+}
+
+/// The K-means sweep: every candidate plan costs one recording of the
+/// NF, compiled once.
+fn suggest_compiled(module: &Module, nic: &NicModule, trace: &Trace, seed: u64) -> CoalescePlan {
     let rec = nic_sim::record_workload(module, trace, |_| {});
     let av = access_vectors(module, &rec);
     let cfg = nic_sim::NicConfig::default();
     let mut best = CoalescePlan::default();
-    let mut best_cost = eval_recorded(module, &rec, &cfg, &best);
+    let mut best_cost = eval_compiled(module, nic, &rec, &cfg, &best);
     for k in 1..=av.vars.len().min(6) {
         let km = KMeans::fit(&av.vectors, k, seed);
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -123,7 +148,7 @@ pub fn suggest_coalescing(module: &Module, trace: &Trace, seed: u64) -> Coalesce
             }
         }
         let plan = CoalescePlan { clusters };
-        let cost = eval_recorded(module, &rec, &cfg, &plan);
+        let cost = eval_compiled(module, nic, &rec, &cfg, &plan);
         if cost < best_cost {
             best_cost = cost;
             best = plan;
@@ -185,8 +210,9 @@ pub fn exhaustive_coalescing(
         return CoalescePlan::default();
     }
 
+    let nic = Engine::new().compile_cached(module);
     let mut best_plan = CoalescePlan::default();
-    let mut best_cost = eval_recorded(module, &rec, cfg, &best_plan);
+    let mut best_cost = eval_compiled(module, &nic, &rec, cfg, &best_plan);
     // Enumerate set partitions via restricted-growth strings.
     let n = order.len();
     let mut rgs = vec![0usize; n];
@@ -199,7 +225,7 @@ pub fn exhaustive_coalescing(
         let plan = CoalescePlan {
             clusters: clusters.into_iter().filter(|c| c.len() >= 2).collect(),
         };
-        let cost = eval_recorded(module, &rec, cfg, &plan);
+        let cost = eval_compiled(module, &nic, &rec, cfg, &plan);
         if cost < best_cost {
             best_cost = cost;
             best_plan = plan;
@@ -230,8 +256,20 @@ pub fn eval_recorded(
     cfg: &nic_sim::NicConfig,
     plan: &CoalescePlan,
 ) -> f64 {
+    eval_compiled(module, &Engine::new().compile_cached(module), rec, cfg, plan)
+}
+
+/// [`eval_recorded`] with the NF's compiled module: a sweep compiles once
+/// and replays its one recording under every plan.
+fn eval_compiled(
+    module: &Module,
+    nic: &NicModule,
+    rec: &nic_sim::RecordedWorkload,
+    cfg: &nic_sim::NicConfig,
+    plan: &CoalescePlan,
+) -> f64 {
     let port = PortConfig::naive().with_coalesce(plan.clone());
-    let wp = nic_sim::profile_recorded(module, rec, &port, cfg);
+    let wp = nic_sim::profile_recorded_compiled(module, nic, rec, &port, cfg);
     wp.channel_demand(cfg, &port).iter().sum()
 }
 

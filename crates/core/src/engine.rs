@@ -704,7 +704,13 @@ impl Engine {
     /// the *same* module single-flight on the entry's `OnceLock`: one
     /// compiles (counted as the miss), the rest block and count as hits.
     pub fn compile_cached(&self, module: &Module) -> Arc<NicModule> {
-        compile_cached_impl(module, module_fingerprint(module), &resolved())
+        self.compile_cached_fp(module, module_fingerprint(module))
+    }
+
+    /// [`Engine::compile_cached`] with the module's [`module_fingerprint`]
+    /// supplied by a caller that already computed it.
+    pub(crate) fn compile_cached_fp(&self, module: &Module, module_fp: u64) -> Arc<NicModule> {
+        compile_cached_impl(module, module_fp, &resolved())
     }
 
     /// Memoized setup-free profiling: [`nic_sim::profile_workload`] with
@@ -738,23 +744,12 @@ impl Engine {
         cfg: &NicConfig,
         backend_fp: u64,
     ) -> WorkloadProfile {
-        self.profile_cached_fp(module, module_fingerprint(module), trace, port, cfg, backend_fp)
-    }
-
-    /// [`Engine::profile_cached_for`] with the module's
-    /// [`module_fingerprint`] supplied by a caller that already computed
-    /// it, so one prediction prints the module's IR once rather than once
-    /// per cache it consults.
-    pub(crate) fn profile_cached_fp(
-        &self,
-        module: &Module,
-        module_fp: u64,
-        trace: &Trace,
-        port: &PortConfig,
-        cfg: &NicConfig,
-        backend_fp: u64,
-    ) -> WorkloadProfile {
-        profile_cached_impl(module, module_fp, trace, port, cfg, backend_fp, &resolved())
+        ProfileScope::new(port, cfg, backend_fp).profile(
+            module,
+            module_fingerprint(module),
+            trace,
+            trace_fingerprint(trace),
+        )
     }
 
     /// Drops both in-process memo caches (tests use this to exercise
@@ -837,23 +832,63 @@ fn compile_artifact(module: &Module, fp: u64, disk: Option<&DiskCache>) -> Arc<N
     nic
 }
 
-/// `module_fp` is `module`'s [`module_fingerprint`].
+/// A port and a device with their fingerprints, hashed once for every
+/// module and trace a caller profiles under them: the module-independent
+/// part of a profile-cache key. Placement profiles each NF of a request
+/// on each epoch's trace, and a batch predicts many items on one device.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProfileScope<'a> {
+    port: &'a PortConfig,
+    cfg: &'a NicConfig,
+    port_fp: u64,
+    cfg_fp: u64,
+    backend_fp: u64,
+}
+
+impl<'a> ProfileScope<'a> {
+    /// `backend_fp` keys the device as in [`Engine::profile_cached_for`].
+    pub(crate) fn new(port: &'a PortConfig, cfg: &'a NicConfig, backend_fp: u64) -> Self {
+        ProfileScope {
+            port,
+            cfg,
+            port_fp: value_fingerprint(port),
+            cfg_fp: value_fingerprint(cfg),
+            backend_fp,
+        }
+    }
+
+    /// [`Engine::profile_cached_for`] under this scope, for a module whose
+    /// [`module_fingerprint`] is `module_fp` and a trace whose
+    /// [`trace_fingerprint`] is `trace_fp`: the same cache entry, without
+    /// hashing any input a second time.
+    pub(crate) fn profile(
+        &self,
+        module: &Module,
+        module_fp: u64,
+        trace: &Trace,
+        trace_fp: u64,
+    ) -> WorkloadProfile {
+        profile_cached_impl(module, module_fp, trace, trace_fp, self, &resolved())
+    }
+}
+
+/// `module_fp` and `trace_fp` are `module`'s [`module_fingerprint`] and
+/// `trace`'s [`trace_fingerprint`].
 fn profile_cached_impl(
     module: &Module,
     module_fp: u64,
     trace: &Trace,
-    port: &PortConfig,
-    cfg: &NicConfig,
-    backend_fp: u64,
+    trace_fp: u64,
+    scope: &ProfileScope<'_>,
     res: &Resolved,
 ) -> WorkloadProfile {
     touch_cache_counters();
     let key = (
         module_fp,
-        trace_fingerprint(trace),
-        value_fingerprint(port),
-        value_fingerprint(cfg),
-        backend_fp,
+        trace_fp,
+        scope.port_fp,
+        scope.cfg_fp,
+        scope.backend_fp,
     );
     let cache = PROFILE_CACHE.get_or_init(Mutex::default);
     let slot = {
@@ -873,7 +908,15 @@ fn profile_cached_impl(
             // its telemetry on replay and make a warm run's in-memory
             // compile hit/miss pattern diverge from a cold run's.
             let nic = compile_cached_impl(module, module_fp, res);
-            profile_artifact(module, &nic, trace, port, cfg, key, res.cache.as_ref())
+            profile_artifact(
+                module,
+                &nic,
+                trace,
+                scope.port,
+                scope.cfg,
+                key,
+                res.cache.as_ref(),
+            )
         })
         .clone();
     if profiled {
@@ -964,7 +1007,7 @@ pub fn try_profile_matrix(
     cfg: &NicConfig,
 ) -> StageOutcome<WorkloadProfile> {
     let res = resolved();
-    let backend_fp = value_fingerprint(cfg);
+    let scope = ProfileScope::new(port, cfg, value_fingerprint(cfg));
     let w = workloads.len();
     let cells: Vec<(usize, usize)> = (0..modules.len())
         .flat_map(|i| (0..w).map(move |j| (i, j)))
@@ -975,7 +1018,8 @@ pub fn try_profile_matrix(
         &|_, &(i, j)| {
             let trace = Trace::generate(&workloads[j], pkts, seed ^ ((i * w + j) as u64));
             let module_fp = module_fingerprint(&modules[i]);
-            profile_cached_impl(&modules[i], module_fp, &trace, port, cfg, backend_fp, &res)
+            let trace_fp = trace_fingerprint(&trace);
+            profile_cached_impl(&modules[i], module_fp, &trace, trace_fp, &scope, &res)
         },
         &res,
     )

@@ -613,12 +613,22 @@ fn migration(modules: &[&click_model::NfElement], old: &[NfSolve], new: &[NfSolv
     (moved, bytes)
 }
 
-/// The extended corpus, built once per process: a request only looks
-/// NFs up by name, and rebuilding all 32 modules per request cost more
-/// than the lookup it served.
-fn extended_corpus() -> &'static [click_model::NfElement] {
-    static CORPUS: OnceLock<Vec<click_model::NfElement>> = OnceLock::new();
-    CORPUS.get_or_init(click_model::extended_corpus)
+/// The extended corpus, built once per process, each NF with its
+/// module's [`nic_sim::module_fingerprint`]: a request only looks NFs up
+/// by name, and rebuilding all 32 modules (or re-printing one's IR to
+/// key the profile cache) per request cost more than the lookup it
+/// served.
+fn extended_corpus() -> &'static [(click_model::NfElement, u64)] {
+    static CORPUS: OnceLock<Vec<(click_model::NfElement, u64)>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        click_model::extended_corpus()
+            .into_iter()
+            .map(|e| {
+                let fp = nic_sim::module_fingerprint(&e.module);
+                (e, fp)
+            })
+            .collect()
+    })
 }
 
 fn solve_all(
@@ -680,25 +690,29 @@ impl Clara {
             });
         }
         let mut modules: Vec<&click_model::NfElement> = Vec::with_capacity(req.nfs.len());
+        let mut module_fps: Vec<u64> = Vec::with_capacity(req.nfs.len());
         for nf in &req.nfs {
-            let e = extended_corpus()
+            let (e, fp) = extended_corpus()
                 .iter()
-                .find(|e| e.name() == nf)
+                .find(|(e, _)| e.name() == nf)
                 .ok_or_else(|| ClaraError::Placement {
                     kind: PlacementFailure::UnknownNf,
                     detail: format!("`{nf}` is not in the corpus"),
                 })?;
             modules.push(e);
+            module_fps.push(*fp);
         }
 
         let nic = backend.nic();
-        let backend_fp = backend.fingerprint();
         let naive = PortConfig::naive();
-        let eng = engine::Engine::new();
+        let scope = engine::ProfileScope::new(&naive, nic, backend.fingerprint());
+        // Every NF is profiled on the same trace: hash it once.
         let profile_at = |trace: &Trace| -> Vec<WorkloadProfile> {
+            let trace_fp = nic_sim::trace_fingerprint(trace);
             modules
                 .iter()
-                .map(|e| eng.profile_cached_for(&e.module, trace, &naive, nic, backend_fp))
+                .zip(&module_fps)
+                .map(|(e, &fp)| scope.profile(&e.module, fp, trace, trace_fp))
                 .collect()
         };
 

@@ -412,7 +412,13 @@ impl InstructionPredictor {
 /// the memory instructions `nfcc` actually emitted, per block
 /// (1 − WMAPE, as a percentage).
 pub fn memory_count_accuracy(module: &Module) -> f64 {
-    let nic = crate::engine::Engine::new().compile_cached(module);
+    memory_count_accuracy_fp(module, nic_sim::module_fingerprint(module))
+}
+
+/// [`memory_count_accuracy`] of a module whose
+/// [`nic_sim::module_fingerprint`] is `module_fp`.
+pub(crate) fn memory_count_accuracy_fp(module: &Module, module_fp: u64) -> f64 {
+    let nic = crate::engine::Engine::new().compile_cached_fp(module, module_fp);
     let mut truth = Vec::new();
     let mut counted = Vec::new();
     for (f, nf) in module.funcs.iter().zip(nic.funcs.iter()) {

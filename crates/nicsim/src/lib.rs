@@ -22,10 +22,13 @@
 //! - a **vendor library** cost model for reverse-ported framework calls
 //!   (hash-map probes, vector ops, header parses).
 //!
-//! The simulator consumes the execution traces produced by
-//! [`click_model::Machine`] plus the per-block issue costs produced by
-//! [`nfcc`], under a [`PortConfig`] describing porting decisions (state
-//! placement, accelerator substitution, coalescing, core count).
+//! The simulator prices the events [`click_model::Machine`] produces,
+//! with the per-block issue costs produced by [`nfcc`], under a
+//! [`PortConfig`] describing porting decisions (state placement,
+//! accelerator substitution, coalescing, core count). One costing sink
+//! receives each event as the interpreter runs, so a profile keeps no
+//! per-packet trace; [`record_workload`] keeps one only for sweeps that
+//! cost the same workload under many ports.
 
 pub mod config;
 pub mod fingerprint;
@@ -40,7 +43,7 @@ pub use model::{solve_colocated, solve_perf, PerfPoint};
 pub use port::{Accel, CoalescePlan, PortConfig};
 pub use profile::{
     profile_recorded, profile_recorded_compiled, profile_workload, profile_workload_compiled,
-    record_workload, PacketProfile, RecordedWorkload, WorkloadProfile,
+    record_workload, RecordedWorkload, WorkloadProfile,
 };
 pub use sim::{
     chain_global, merge_stage_profiles, optimal_cores, profile_chain, profile_chain_stages,

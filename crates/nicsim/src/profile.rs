@@ -1,12 +1,14 @@
-//! Converting execution traces into per-packet NIC cost profiles.
+//! Costing interpreted events into NIC workload profiles.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 use clara_obs as obs;
-use click_model::{ApiEvent, Event, ExecTrace, Machine};
-use nf_ir::{ApiCall, GlobalId, Module};
-use nfcc::NicModule;
+use click_model::{ApiEvent, Event, EventSink, ExecTrace, Machine, PacketView};
+use nf_ir::{ApiCall, BlockId, GlobalId, Module};
+use nfcc::{NicBlock, NicModule};
 use serde::{Deserialize, Serialize};
 use trafgen::Trace;
 
@@ -65,19 +67,6 @@ impl SimCounters {
         }
         self.pkt_drops.add(drops.round() as u64);
     }
-}
-
-/// Costs of processing one packet on the NIC.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PacketProfile {
-    /// Core compute cycles (instruction issue + library + accelerators).
-    pub compute_cycles: f64,
-    /// Fixed (non-global) memory accesses per level — packet data, egress.
-    pub fixed_accesses: [f64; 4],
-    /// Stateful accesses by global (level assigned later by placement).
-    pub global_access: BTreeMap<GlobalId, f64>,
-    /// Packets dropped by the NF (`PktDrop` library calls).
-    pub drops: f64,
 }
 
 /// Aggregated workload profile: what the performance model consumes.
@@ -193,21 +182,16 @@ impl WorkloadProfile {
 /// Interpreter traces recorded once and re-costed under many ports.
 ///
 /// Execution traces are port-independent (porting changes *costs*, not
-/// functional behaviour), so placement/coalescing sweeps record once and
-/// re-cost cheaply.
+/// functional behaviour), so a sweep that costs one workload under many
+/// ports (the coalescing searches) records it once and replays the
+/// recording into the costing sink per port. Every other profile streams
+/// each event straight into the sink and keeps no recording.
 #[derive(Debug, Clone)]
 pub struct RecordedWorkload {
     entries: Vec<(u32, u16, ExecTrace)>,
 }
 
 impl RecordedWorkload {
-    /// Builds a recorded workload from raw `(flow_id, size, trace)`
-    /// entries (used by chain profiling, which records all stages in one
-    /// interpreter pass).
-    pub fn from_entries(entries: Vec<(u32, u16, ExecTrace)>) -> RecordedWorkload {
-        RecordedWorkload { entries }
-    }
-
     /// The recorded `(flow_id, size, trace)` entries, one per packet in
     /// trace order.
     pub fn entries(&self) -> &[(u32, u16, ExecTrace)] {
@@ -270,140 +254,17 @@ pub fn profile_recorded_compiled(
     let _span = obs::span!("nicsim-profile", "module={} pkts={}", module.name, rec.entries.len());
     let mut costing = Costing::new(module, nic, port, cfg);
     for (flow_id, size, t) in &rec.entries {
-        costing.add(*flow_id, *size, t);
+        costing.begin(*flow_id);
+        for ev in &t.events {
+            costing.cost(ev);
+        }
+        costing.end(*size);
     }
     costing.finish()
 }
 
-/// [`record_workload`] (no setup) and [`profile_recorded_compiled`] in one
-/// pass: each packet is costed as soon as the interpreter has run it, so
-/// no recording is kept. Same profile, counters and span names as the
-/// two calls; the `nicsim-record` span also covers the costing. The
-/// engine's profile miss takes this path: a recording of a heavy NF is
-/// megabytes (2 MB for 400 `cmsketch` packets), allocated and freed per
-/// miss.
-///
-/// # Panics
-///
-/// Panics if the module fails verification or the interpreter hits its
-/// step limit (both indicate element bugs, not user errors).
-pub fn profile_workload_compiled(
-    module: &Module,
-    nic: &NicModule,
-    trace: &Trace,
-    port: &PortConfig,
-    cfg: &NicConfig,
-) -> WorkloadProfile {
-    let mut costing = Costing::new(module, nic, port, cfg);
-    {
-        let _span = obs::span!(
-            "nicsim-record",
-            "module={} pkts={}",
-            module.name,
-            trace.pkts.len()
-        );
-        let mut machine = Machine::new(module).expect("module must verify");
-        for pkt in &trace.pkts {
-            let t = machine.run(pkt).expect("interpreter step limit");
-            costing.add(pkt.flow_id, pkt.size, &t);
-        }
-        let c = counters();
-        c.record_runs.incr();
-        c.pkts_recorded.add(trace.pkts.len() as u64);
-    }
-    let _span = obs::span!(
-        "nicsim-profile",
-        "module={} pkts={}",
-        module.name,
-        trace.pkts.len()
-    );
-    costing.finish()
-}
-
-/// Running totals of one profiling run, fed one packet at a time.
-struct Costing<'a> {
-    module: &'a Module,
-    nic: &'a NicModule,
-    port: &'a PortConfig,
-    cfg: &'a NicConfig,
-    agg: WorkloadProfile,
-    touched: BTreeMap<GlobalId, BTreeSet<u64>>,
-    cam: CamState,
-    drops_total: f64,
-}
-
-impl<'a> Costing<'a> {
-    fn new(
-        module: &'a Module,
-        nic: &'a NicModule,
-        port: &'a PortConfig,
-        cfg: &'a NicConfig,
-    ) -> Costing<'a> {
-        Costing {
-            module,
-            nic,
-            port,
-            cfg,
-            agg: WorkloadProfile::default(),
-            touched: BTreeMap::new(),
-            cam: CamState::new(cfg.cam_entries as usize),
-            drops_total: 0.0,
-        }
-    }
-
-    fn add(&mut self, flow_id: u32, size: u16, t: &ExecTrace) {
-        let p = cost_packet(
-            t,
-            self.nic,
-            self.module,
-            self.port,
-            self.cfg,
-            flow_id,
-            &mut self.cam,
-            &mut self.touched,
-        );
-        let agg = &mut self.agg;
-        agg.pkts += 1;
-        agg.compute += p.compute_cycles;
-        for (a, b) in agg.fixed_accesses.iter_mut().zip(p.fixed_accesses.iter()) {
-            *a += b;
-        }
-        for (g, a) in p.global_access {
-            *agg.global_access.entry(g).or_insert(0.0) += a;
-        }
-        agg.mean_pkt_size += f64::from(size);
-        self.drops_total += p.drops;
-    }
-
-    fn finish(self) -> WorkloadProfile {
-        let Costing {
-            module,
-            port,
-            mut agg,
-            touched,
-            drops_total,
-            ..
-        } = self;
-        // Flush the raw (pre-normalization) totals to the metrics registry.
-        // Each total is a pure function of the profiling inputs and is
-        // rounded to a whole count per run, so the counters reconcile
-        // bit-identically across worker layouts.
-        counters().record_profile(&agg, port, drops_total);
-
-        let n = agg.pkts.max(1) as f64;
-        agg.compute /= n;
-        agg.fixed_accesses.iter_mut().for_each(|a| *a /= n);
-        agg.global_access.values_mut().for_each(|a| *a /= n);
-        agg.mean_pkt_size /= n;
-        for (g, set) in touched {
-            let entry_bytes = module.global(g).map_or(4, |d| u64::from(d.entry_bytes));
-            agg.working_set.insert(g, set.len() as u64 * entry_bytes);
-        }
-        agg
-    }
-}
-
-/// Profiles a workload: records interpreter traces and costs them.
+/// Profiles a workload: runs the NF over the trace and costs each event
+/// as the interpreter produces it.
 ///
 /// `setup` runs once against the fresh machine before any packet.
 ///
@@ -418,8 +279,507 @@ pub fn profile_workload(
     cfg: &NicConfig,
     setup: impl FnOnce(&mut Machine),
 ) -> WorkloadProfile {
-    let rec = record_workload(module, trace, setup);
-    profile_recorded(module, &rec, port, cfg)
+    let nic = nfcc::compile_module(module);
+    profile_streamed(module, &nic, trace, port, cfg, setup)
+}
+
+/// [`profile_workload`] (no setup) with a pre-compiled NIC module. Gives
+/// the same profile as [`record_workload`] + [`profile_recorded_compiled`],
+/// with the same counters and span names (the `nicsim-record` span also
+/// covers the costing), but keeps no recording: the engine's profile miss
+/// takes this path.
+///
+/// # Panics
+///
+/// Panics if the module fails verification or the interpreter hits its
+/// step limit (both indicate element bugs, not user errors).
+pub fn profile_workload_compiled(
+    module: &Module,
+    nic: &NicModule,
+    trace: &Trace,
+    port: &PortConfig,
+    cfg: &NicConfig,
+) -> WorkloadProfile {
+    profile_streamed(module, nic, trace, port, cfg, |_| {})
+}
+
+fn profile_streamed(
+    module: &Module,
+    nic: &NicModule,
+    trace: &Trace,
+    port: &PortConfig,
+    cfg: &NicConfig,
+    setup: impl FnOnce(&mut Machine),
+) -> WorkloadProfile {
+    let mut costing = Costing::new(module, nic, port, cfg);
+    {
+        let _span = obs::span!(
+            "nicsim-record",
+            "module={} pkts={}",
+            module.name,
+            trace.pkts.len()
+        );
+        let mut machine = Machine::new(module).expect("module must verify");
+        setup(&mut machine);
+        for pkt in &trace.pkts {
+            costing.begin(pkt.flow_id);
+            machine
+                .run_into(&mut PacketView::new(pkt), &mut costing)
+                .expect("interpreter step limit");
+            costing.end(pkt.size);
+        }
+        let c = counters();
+        c.record_runs.incr();
+        c.pkts_recorded.add(trace.pkts.len() as u64);
+    }
+    let _span = obs::span!(
+        "nicsim-profile",
+        "module={} pkts={}",
+        module.name,
+        trace.pkts.len()
+    );
+    costing.finish()
+}
+
+/// A cheap hasher for entry indices: a splitmix64 finalizer over the
+/// index mixed with a per-profile random key, so indices that a crafted
+/// module computes cannot be chosen to collide. Only the sizes of the
+/// sets it keys are read, so neither the key nor the iteration order
+/// reaches a profile.
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let mut x = (self.0 ^ n).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = x ^ (x >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`IndexHasher`]s with one profile's random key.
+#[derive(Clone)]
+struct IndexKey(u64);
+
+impl IndexKey {
+    fn random() -> IndexKey {
+        IndexKey(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for IndexKey {
+    type Hasher = IndexHasher;
+
+    fn build_hasher(&self) -> IndexHasher {
+        IndexHasher(self.0)
+    }
+}
+
+/// Distinct entry indices of one global touched over a workload.
+type IndexSet = HashSet<u64, IndexKey>;
+
+/// One global's running sums inside a [`Costing`].
+struct GlobalSums {
+    id: GlobalId,
+    /// This packet's accesses, and whether the packet charged it at all.
+    pkt: f64,
+    in_pkt: bool,
+    /// Sum of per-packet accesses; `charged` makes it a key of
+    /// `global_access`.
+    sum: f64,
+    charged: bool,
+    /// Entry indices accessed; `Some` makes it a key of `working_set`.
+    touched: Option<IndexSet>,
+}
+
+/// The one costing implementation: an [`EventSink`] that prices each
+/// interpreted event as it happens (or as a recording replays it).
+///
+/// [`Costing::begin`] resets the per-packet accelerator and coalescing
+/// state, each event adds to the packet's totals, and [`Costing::end`]
+/// folds those into the workload sums, accumulator by accumulator, so a
+/// profile is the same to the bit whether it was streamed or replayed.
+pub(crate) struct Costing<'a> {
+    module: &'a Module,
+    blocks: &'a [NicBlock],
+    port: &'a PortConfig,
+    cfg: &'a NicConfig,
+    /// Accelerator of each handler block under the port.
+    accel: Vec<Option<Accel>>,
+    /// Weight and written-back global of each coalescing cluster.
+    cluster_weight: Vec<f64>,
+    cluster_head: Vec<Option<GlobalId>>,
+    /// Per-global sums: slot `i < module.globals.len()` is `GlobalId(i)`.
+    /// API calls name globals the verifier does not check, so any other
+    /// id gets the next slot when first seen.
+    globals: Vec<GlobalSums>,
+    index_key: IndexKey,
+    cam: CamState,
+    // The current packet.
+    flow_id: u32,
+    crc_active: bool,
+    /// Inside an LPM region served by the CAM.
+    lpm_skip: bool,
+    /// Walked the LPM region in software this packet.
+    lpm_walked: bool,
+    /// Coalesced clusters fetched / dirtied this packet.
+    fetched: Vec<bool>,
+    dirty: Vec<bool>,
+    compute: f64,
+    fixed: [f64; 4],
+    drops: f64,
+    /// Slots charged this packet, in first-charge order.
+    charged: Vec<usize>,
+    // The workload.
+    pkts: usize,
+    sum_compute: f64,
+    sum_fixed: [f64; 4],
+    sum_size: f64,
+    sum_drops: f64,
+}
+
+impl<'a> Costing<'a> {
+    pub(crate) fn new(
+        module: &'a Module,
+        nic: &'a NicModule,
+        port: &'a PortConfig,
+        cfg: &'a NicConfig,
+    ) -> Costing<'a> {
+        let blocks = nic.handler().blocks.as_slice();
+        let accel = (0..blocks.len() as u32)
+            .map(|b| port.accel_blocks.get(&BlockId(b)).copied())
+            .collect();
+        let clusters = &port.coalesce.clusters;
+        let mut costing = Costing {
+            module,
+            blocks,
+            port,
+            cfg,
+            accel,
+            cluster_weight: (0..clusters.len())
+                .map(|c| (f64::from(port.coalesce.cluster_bytes(c)) / 16.0).max(1.0))
+                .collect(),
+            cluster_head: clusters.iter().map(|c| c.first().map(|&(g, _)| g)).collect(),
+            globals: Vec::with_capacity(module.globals.len()),
+            index_key: IndexKey::random(),
+            cam: CamState::new(cfg.cam_entries as usize),
+            flow_id: 0,
+            crc_active: false,
+            lpm_skip: false,
+            lpm_walked: false,
+            fetched: vec![false; clusters.len()],
+            dirty: vec![false; clusters.len()],
+            compute: 0.0,
+            fixed: [0.0; 4],
+            drops: 0.0,
+            charged: Vec::with_capacity(module.globals.len()),
+            pkts: 0,
+            sum_compute: 0.0,
+            sum_fixed: [0.0; 4],
+            sum_size: 0.0,
+            sum_drops: 0.0,
+        };
+        for g in 0..module.globals.len() as u32 {
+            costing.push_global(GlobalId(g));
+        }
+        costing
+    }
+
+    /// Packets folded in so far.
+    pub(crate) fn pkts(&self) -> usize {
+        self.pkts
+    }
+
+    fn push_global(&mut self, id: GlobalId) -> usize {
+        self.globals.push(GlobalSums {
+            id,
+            pkt: 0.0,
+            in_pkt: false,
+            sum: 0.0,
+            charged: false,
+            touched: None,
+        });
+        self.globals.len() - 1
+    }
+
+    fn slot(&mut self, g: GlobalId) -> usize {
+        let n = self.module.globals.len();
+        if g.index() < n {
+            return g.index();
+        }
+        match self.globals[n..].iter().position(|s| s.id == g) {
+            Some(i) => n + i,
+            None => self.push_global(g),
+        }
+    }
+
+    /// Charges `weight` accesses to global `g` (its level is the port's
+    /// business, applied when the profile is read).
+    fn charge(&mut self, g: GlobalId, weight: f64) {
+        let s = self.slot(g);
+        let sums = &mut self.globals[s];
+        if !sums.in_pkt {
+            sums.in_pkt = true;
+            self.charged.push(s);
+        }
+        sums.pkt += weight;
+    }
+
+    /// Starts a packet of flow `flow_id`.
+    pub(crate) fn begin(&mut self, flow_id: u32) {
+        self.flow_id = flow_id;
+        self.crc_active = false;
+        self.lpm_skip = false;
+        self.lpm_walked = false;
+        self.fetched.fill(false);
+        self.dirty.fill(false);
+        self.compute = 0.0;
+        self.fixed = [0.0; 4];
+        self.drops = 0.0;
+    }
+
+    /// Ends the packet begun last, of `size` wire bytes: writes dirtied
+    /// packs back once, then folds its totals into the workload's.
+    pub(crate) fn end(&mut self, size: u16) {
+        for c in 0..self.dirty.len() {
+            if let (true, Some(g)) = (self.dirty[c], self.cluster_head[c]) {
+                self.charge(g, self.cluster_weight[c]);
+            }
+        }
+        self.pkts += 1;
+        self.sum_compute += self.compute;
+        for (a, b) in self.sum_fixed.iter_mut().zip(self.fixed) {
+            *a += b;
+        }
+        for &s in &self.charged {
+            let sums = &mut self.globals[s];
+            sums.sum += sums.pkt;
+            sums.charged = true;
+            sums.pkt = 0.0;
+            sums.in_pkt = false;
+        }
+        self.charged.clear();
+        self.sum_size += f64::from(size);
+        self.sum_drops += self.drops;
+    }
+
+    /// Costs one event of the current packet.
+    pub(crate) fn cost(&mut self, ev: &Event) {
+        match ev {
+            Event::Block(b) => {
+                let accel = match self.accel.get(b.index()) {
+                    Some(a) => *a,
+                    None => self.port.accel_blocks.get(b).copied(),
+                };
+                match accel {
+                    Some(Accel::Crc) => {
+                        if !self.crc_active {
+                            self.crc_active = true;
+                            self.compute += f64::from(self.cfg.crc_accel_base);
+                        }
+                        self.compute += self.cfg.crc_accel_per_iter;
+                        return;
+                    }
+                    Some(Accel::Lpm) => {
+                        self.crc_active = false;
+                        if !self.lpm_skip && !self.lpm_walked {
+                            // Entering the region: consult the CAM once.
+                            if self.cam.lookup_or_insert(self.flow_id) {
+                                self.lpm_skip = true;
+                                self.compute += f64::from(self.cfg.cam_hit_cycles);
+                            } else {
+                                self.lpm_walked = true;
+                                self.compute += f64::from(self.cfg.cam_insert_cycles);
+                            }
+                        }
+                        if self.lpm_skip {
+                            return; // Whole region served by the CAM.
+                        }
+                        // Software walk: fall through and cost normally.
+                    }
+                    None => {
+                        self.crc_active = false;
+                        self.lpm_skip = false;
+                    }
+                }
+                if let Some(nb) = self.blocks.get(b.index()) {
+                    self.compute += f64::from(nb.issue_cycles());
+                }
+            }
+            Event::State {
+                global,
+                index,
+                offset,
+                write,
+                ..
+            } => {
+                let s = self.slot(*global);
+                let key = &self.index_key;
+                self.globals[s]
+                    .touched
+                    .get_or_insert_with(|| IndexSet::with_hasher(key.clone()))
+                    .insert(*index);
+                if self.crc_active || self.lpm_skip {
+                    return; // The engine's internal accesses are in its base cost.
+                }
+                // Coalescing: one fetch per cluster per packet (plus one
+                // writeback at `end` when dirtied). Wide packs cost
+                // proportionally to the 16-byte memory beats they occupy,
+                // so over-packing wastes bandwidth.
+                if let Some(c) = self.port.coalesce.cluster_of(*global, *offset) {
+                    if *write {
+                        self.dirty[c] = true;
+                    }
+                    if !self.fetched[c] {
+                        self.fetched[c] = true;
+                        self.charge(*global, self.cluster_weight[c]);
+                    }
+                    return;
+                }
+                self.charge(*global, 1.0);
+            }
+            Event::Pkt { .. } => {
+                if !(self.crc_active || self.lpm_skip) {
+                    self.fixed[MemLevel::Ctm.index()] += 1.0;
+                }
+            }
+            Event::Api(api) => {
+                if !(self.crc_active || self.lpm_skip) {
+                    self.api_call(api);
+                }
+            }
+        }
+    }
+
+    fn api_call(&mut self, api: &ApiEvent) {
+        let cfg = self.cfg;
+        let ovh = f64::from(cfg.libcall_overhead);
+        let ctm = MemLevel::Ctm.index();
+        match &api.call {
+            ApiCall::IpHeader | ApiCall::TcpHeader | ApiCall::UdpHeader | ApiCall::EthHeader => {
+                self.compute += ovh;
+                self.fixed[ctm] += 1.0;
+            }
+            ApiCall::PktLen | ApiCall::Timestamp | ApiCall::Random => {
+                self.compute += ovh;
+            }
+            ApiCall::HashMapFind(g) | ApiCall::HashMapErase(g) => {
+                self.compute += ovh + 6.0 * f64::from(api.probes);
+                for _ in 0..api.probes {
+                    self.charge(*g, 1.0);
+                }
+            }
+            ApiCall::HashMapInsert(g) => {
+                self.compute += ovh + 6.0 * f64::from(api.probes) + 8.0;
+                for _ in 0..api.probes {
+                    self.charge(*g, 1.0);
+                }
+                self.charge(*g, 1.0); // Key write.
+            }
+            ApiCall::VectorGet(g) | ApiCall::VectorPush(g) | ApiCall::VectorDelete(g) => {
+                self.compute += ovh + 4.0;
+                self.charge(*g, 1.0);
+            }
+            ApiCall::FlowLookup(g) | ApiCall::FlowRemove(g) => {
+                // Bucket walk plus a timestamp compare per probed slot.
+                self.compute += ovh + 8.0 * f64::from(api.probes);
+                for _ in 0..api.probes {
+                    self.charge(*g, 1.0);
+                }
+            }
+            ApiCall::FlowUpsert(g) => {
+                // Bucket walk, then key + timestamp writes on insert/refresh.
+                self.compute += ovh + 8.0 * f64::from(api.probes) + 10.0;
+                for _ in 0..api.probes {
+                    self.charge(*g, 1.0);
+                }
+                self.charge(*g, 1.0); // Entry write.
+            }
+            ApiCall::FlowChurn(g) => {
+                // Single counter read, kept near the table.
+                self.compute += ovh;
+                self.charge(*g, 1.0);
+            }
+            ApiCall::PktSend => {
+                self.compute += ovh;
+                self.fixed[ctm] += 1.0;
+            }
+            ApiCall::PktDrop => {
+                self.drops += 1.0;
+                self.compute += ovh;
+                self.fixed[ctm] += 1.0;
+            }
+            ApiCall::ChecksumUpdate => {
+                self.compute += if self.port.csum_accel {
+                    f64::from(cfg.csum_accel_cycles)
+                } else {
+                    f64::from(cfg.csum_sw_cycles)
+                };
+                self.fixed[ctm] += 1.0;
+            }
+            ApiCall::ChecksumFull => {
+                let bytes = f64::from(api.bytes);
+                self.compute += if self.port.csum_accel {
+                    f64::from(cfg.csum_accel_cycles) + bytes / 4.0
+                } else {
+                    100.0 + 10.0 * bytes
+                };
+                self.fixed[ctm] += 1.0;
+            }
+        }
+    }
+
+    /// The workload's profile: per-packet means, plus the working sets.
+    pub(crate) fn finish(self) -> WorkloadProfile {
+        let mut agg = WorkloadProfile {
+            pkts: self.pkts,
+            compute: self.sum_compute,
+            fixed_accesses: self.sum_fixed,
+            global_access: self
+                .globals
+                .iter()
+                .filter(|s| s.charged)
+                .map(|s| (s.id, s.sum))
+                .collect(),
+            working_set: BTreeMap::new(),
+            mean_pkt_size: self.sum_size,
+        };
+        // Flush the raw (pre-normalization) totals to the metrics registry.
+        // Each total is a pure function of the profiling inputs and is
+        // rounded to a whole count per run, so the counters reconcile
+        // bit-identically across worker layouts.
+        counters().record_profile(&agg, self.port, self.sum_drops);
+
+        let n = agg.pkts.max(1) as f64;
+        agg.compute /= n;
+        agg.fixed_accesses.iter_mut().for_each(|a| *a /= n);
+        agg.global_access.values_mut().for_each(|a| *a /= n);
+        agg.mean_pkt_size /= n;
+        for s in &self.globals {
+            if let Some(set) = &s.touched {
+                let entry_bytes = self.module.global(s.id).map_or(4, |d| u64::from(d.entry_bytes));
+                agg.working_set.insert(s.id, set.len() as u64 * entry_bytes);
+            }
+        }
+        agg
+    }
+}
+
+impl EventSink for Costing<'_> {
+    #[inline]
+    fn event(&mut self, ev: Event) {
+        self.cost(&ev);
+    }
 }
 
 /// LPM flow-cache (CAM) state shared across packets.
@@ -450,209 +810,6 @@ impl CamState {
         self.set.insert(flow);
         self.fifo.push_back(flow);
         false
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cost_packet(
-    trace: &ExecTrace,
-    nic: &NicModule,
-    module: &Module,
-    port: &PortConfig,
-    cfg: &NicConfig,
-    flow_id: u32,
-    cam: &mut CamState,
-    touched: &mut BTreeMap<GlobalId, BTreeSet<u64>>,
-) -> PacketProfile {
-    let handler = nic.handler();
-    let mut p = PacketProfile::default();
-    let mut charge =
-        |p: &mut PacketProfile, level: MemLevel, g: Option<GlobalId>, weight: f64| match g {
-            Some(g) => *p.global_access.entry(g).or_insert(0.0) += weight,
-            None => p.fixed_accesses[level.index()] += weight,
-        };
-
-    // Accelerator-region state.
-    let mut crc_active = false;
-    let mut lpm_skip = false; // Inside an LPM region served by the CAM.
-    let mut lpm_walked = false; // Walked the region in software this packet.
-                                // Coalescing: a packed cluster is fetched into transfer registers once
-                                // per packet and written back once if dirtied.
-    let mut fetched_clusters: HashSet<usize> = HashSet::new();
-    let mut dirty_clusters: HashSet<usize> = HashSet::new();
-
-    for ev in &trace.events {
-        match ev {
-            Event::Block(b) => {
-                match port.accel_blocks.get(b) {
-                    Some(Accel::Crc) => {
-                        if !crc_active {
-                            crc_active = true;
-                            p.compute_cycles += f64::from(cfg.crc_accel_base);
-                        }
-                        p.compute_cycles += cfg.crc_accel_per_iter;
-                        continue;
-                    }
-                    Some(Accel::Lpm) => {
-                        crc_active = false;
-                        if !lpm_skip && !lpm_walked {
-                            // Entering the region: consult the CAM once.
-                            if cam.lookup_or_insert(flow_id) {
-                                lpm_skip = true;
-                                p.compute_cycles += f64::from(cfg.cam_hit_cycles);
-                            } else {
-                                lpm_walked = true;
-                                p.compute_cycles += f64::from(cfg.cam_insert_cycles);
-                            }
-                        }
-                        if lpm_skip {
-                            continue; // Whole region served by the CAM.
-                        }
-                        // Software walk: fall through and cost normally.
-                    }
-                    None => {
-                        crc_active = false;
-                        if lpm_skip {
-                            lpm_skip = false;
-                        }
-                    }
-                }
-                if let Some(nb) = handler.blocks.get(b.index()) {
-                    p.compute_cycles += f64::from(nb.issue_cycles());
-                }
-            }
-            Event::State {
-                global,
-                index,
-                offset,
-                write,
-                ..
-            } => {
-                touched.entry(*global).or_default().insert(*index);
-                if crc_active || lpm_skip {
-                    continue; // The engine's internal accesses are in its base cost.
-                }
-                // Coalescing: one fetch per cluster per packet (plus one
-                // writeback, charged after the loop, when dirtied). Wide
-                // packs cost proportionally to the 16-byte memory beats
-                // they occupy, so over-packing wastes bandwidth.
-                if let Some(c) = port.coalesce.cluster_of(*global, *offset) {
-                    if *write {
-                        dirty_clusters.insert(c);
-                    }
-                    if !fetched_clusters.insert(c) {
-                        continue;
-                    }
-                    let w = (f64::from(port.coalesce.cluster_bytes(c)) / 16.0).max(1.0);
-                    charge(&mut p, port.level_of(*global), Some(*global), w);
-                    continue;
-                }
-                charge(&mut p, port.level_of(*global), Some(*global), 1.0);
-            }
-            Event::Pkt { .. } => {
-                if crc_active || lpm_skip {
-                    continue;
-                }
-                charge(&mut p, MemLevel::Ctm, None, 1.0);
-            }
-            Event::Api(api) => {
-                if crc_active || lpm_skip {
-                    continue;
-                }
-                cost_api(api, port, cfg, module, &mut p, &mut charge);
-            }
-        }
-    }
-    // Write dirtied packs back once.
-    for c in dirty_clusters {
-        if let Some(&(g, _)) = port.coalesce.clusters.get(c).and_then(|v| v.first()) {
-            let w = (f64::from(port.coalesce.cluster_bytes(c)) / 16.0).max(1.0);
-            charge(&mut p, port.level_of(g), Some(g), w);
-        }
-    }
-    p
-}
-
-fn cost_api(
-    api: &ApiEvent,
-    port: &PortConfig,
-    cfg: &NicConfig,
-    _module: &Module,
-    p: &mut PacketProfile,
-    charge: &mut impl FnMut(&mut PacketProfile, MemLevel, Option<GlobalId>, f64),
-) {
-    let ovh = f64::from(cfg.libcall_overhead);
-    match &api.call {
-        ApiCall::IpHeader | ApiCall::TcpHeader | ApiCall::UdpHeader | ApiCall::EthHeader => {
-            p.compute_cycles += ovh;
-            charge(p, MemLevel::Ctm, None, 1.0);
-        }
-        ApiCall::PktLen | ApiCall::Timestamp | ApiCall::Random => {
-            p.compute_cycles += ovh;
-        }
-        ApiCall::HashMapFind(g) | ApiCall::HashMapErase(g) => {
-            p.compute_cycles += ovh + 6.0 * f64::from(api.probes);
-            for _ in 0..api.probes {
-                charge(p, port.level_of(*g), Some(*g), 1.0);
-            }
-        }
-        ApiCall::HashMapInsert(g) => {
-            p.compute_cycles += ovh + 6.0 * f64::from(api.probes) + 8.0;
-            for _ in 0..api.probes {
-                charge(p, port.level_of(*g), Some(*g), 1.0);
-            }
-            charge(p, port.level_of(*g), Some(*g), 1.0); // Key write.
-        }
-        ApiCall::VectorGet(g) | ApiCall::VectorPush(g) | ApiCall::VectorDelete(g) => {
-            p.compute_cycles += ovh + 4.0;
-            charge(p, port.level_of(*g), Some(*g), 1.0);
-        }
-        ApiCall::FlowLookup(g) | ApiCall::FlowRemove(g) => {
-            // Bucket walk plus a timestamp compare per probed slot.
-            p.compute_cycles += ovh + 8.0 * f64::from(api.probes);
-            for _ in 0..api.probes {
-                charge(p, port.level_of(*g), Some(*g), 1.0);
-            }
-        }
-        ApiCall::FlowUpsert(g) => {
-            // Bucket walk, then key + timestamp writes on insert/refresh.
-            p.compute_cycles += ovh + 8.0 * f64::from(api.probes) + 10.0;
-            for _ in 0..api.probes {
-                charge(p, port.level_of(*g), Some(*g), 1.0);
-            }
-            charge(p, port.level_of(*g), Some(*g), 1.0); // Entry write.
-        }
-        ApiCall::FlowChurn(g) => {
-            // Single counter read, kept near the table.
-            p.compute_cycles += ovh;
-            charge(p, port.level_of(*g), Some(*g), 1.0);
-        }
-        ApiCall::PktSend => {
-            p.compute_cycles += ovh;
-            charge(p, MemLevel::Ctm, None, 1.0);
-        }
-        ApiCall::PktDrop => {
-            p.drops += 1.0;
-            p.compute_cycles += ovh;
-            charge(p, MemLevel::Ctm, None, 1.0);
-        }
-        ApiCall::ChecksumUpdate => {
-            p.compute_cycles += if port.csum_accel {
-                f64::from(cfg.csum_accel_cycles)
-            } else {
-                f64::from(cfg.csum_sw_cycles)
-            };
-            charge(p, MemLevel::Ctm, None, 1.0);
-        }
-        ApiCall::ChecksumFull => {
-            let bytes = f64::from(api.bytes);
-            p.compute_cycles += if port.csum_accel {
-                f64::from(cfg.csum_accel_cycles) + bytes / 4.0
-            } else {
-                100.0 + 10.0 * bytes
-            };
-            charge(p, MemLevel::Ctm, None, 1.0);
-        }
     }
 }
 

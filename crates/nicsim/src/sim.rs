@@ -1,5 +1,6 @@
 //! High-level simulation driver: NF module + workload + port → numbers.
 
+use clara_obs as obs;
 use click_model::Machine;
 use nf_ir::Module;
 use trafgen::Trace;
@@ -7,7 +8,7 @@ use trafgen::Trace;
 use crate::config::NicConfig;
 use crate::model::{solve_colocated, solve_perf, PerfPoint};
 use crate::port::PortConfig;
-use crate::profile::{profile_workload, WorkloadProfile};
+use crate::profile::{profile_workload, Costing, WorkloadProfile};
 
 /// A reusable simulation context for one NF.
 #[derive(Debug, Clone)]
@@ -245,33 +246,47 @@ pub fn profile_chain_stages(
     let mut chain =
         click_model::Chain::new(modules.iter().copied()).expect("chain modules must verify");
     setup(&mut chain);
-    // Per-stage recorded traces, gathered in one pass.
-    let mut per_stage: Vec<Vec<(u32, u16, click_model::ExecTrace)>> =
-        vec![Vec::new(); modules.len()];
+    // One costing sink per stage, fed in one interpreter pass.
+    let nics: Vec<nfcc::NicModule> = modules.iter().map(|m| nfcc::compile_module(m)).collect();
+    let mut sinks: Vec<Costing> = modules
+        .iter()
+        .zip(&nics)
+        .zip(ports)
+        .map(|((m, nic), port)| Costing::new(m, nic, port, cfg))
+        .collect();
     for pkt in &trace.pkts {
-        let r = chain.run(pkt).expect("interpreter step limit");
-        for (s, t) in r.traces.into_iter().enumerate() {
-            per_stage[s].push((pkt.flow_id, pkt.size, t));
+        for sink in &mut sinks {
+            sink.begin(pkt.flow_id);
+        }
+        let (_, dropped_at) = chain
+            .run_into(pkt, &mut sinks)
+            .expect("interpreter step limit");
+        let ran = dropped_at.map_or(sinks.len(), |i| i + 1);
+        for sink in &mut sinks[..ran] {
+            sink.end(pkt.size);
         }
     }
 
     let n = trace.pkts.len().max(1) as f64;
     let mean_size = trace.pkts.iter().map(|p| f64::from(p.size)).sum::<f64>() / n;
-    per_stage
+    sinks
         .into_iter()
         .enumerate()
-        .map(|(s, entries)| {
-            if entries.is_empty() {
+        .map(|(s, sink)| {
+            let reached = sink.pkts();
+            if reached == 0 {
                 return WorkloadProfile {
                     pkts: trace.pkts.len(),
                     mean_pkt_size: mean_size,
                     ..WorkloadProfile::default()
                 };
             }
-            let reached = entries.len() as f64;
-            let rec = crate::profile::RecordedWorkload::from_entries(entries);
-            let wp = crate::profile::profile_recorded(modules[s], &rec, ports[s], cfg);
-            let scale = reached / n;
+            let wp = {
+                let _span =
+                    obs::span!("nicsim-profile", "module={} pkts={}", modules[s].name, reached);
+                sink.finish()
+            };
+            let scale = reached as f64 / n;
             let mut out = WorkloadProfile {
                 pkts: trace.pkts.len(),
                 compute: wp.compute * scale,

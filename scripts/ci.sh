@@ -24,22 +24,25 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 CLARA_QUICK=1 CLARA_REPORT=1 cargo run --release -p clara-bench --bin train_timing 2
 test -s BENCH_train_timing.json
 
-# hal-matrix: the device-backend surface — manifest validation, golden
-# cross-device matrix, cross-backend difftest, typed exit codes.
+# The smoke scripts below drive the CLI only: the suites they cover
+# (clara-hal, backend_matrix, quant, placement, clara-accel, flow_corpus)
+# already ran in `cargo test -q` above.
+
+# hal-matrix: the device-backend CLI surface — cross-device analysis
+# matrix and cross-backend difftest.
 ./scripts/hal_smoke.sh
 
 # quant-smoke: the f64-vs-q16 oracle with a predict-stage speedup floor,
 # plus bench-serve at both precisions (q16 with a raised floor).
 ./scripts/quant_smoke.sh
 
-# place-smoke: the placement API surface — ILP-vs-greedy difftest +
-# golden matrix, a drifting replay with its migration run report, and
-# the infeasible-placement exit code.
+# place-smoke: the placement CLI surface — a static placement, a
+# drifting replay with its migration run report, and the
+# infeasible-placement exit code.
 ./scripts/place_smoke.sh
 
-# corpus-smoke: the stateful-NF corpus + accelerator catalog — flow-state
-# acceptance tests, the `clara corpus` JSON report, and per-backend
-# accelerator menus.
+# corpus-smoke: the stateful-NF corpus + accelerator catalog — the
+# `clara corpus` JSON report and per-backend accelerator menus.
 ./scripts/corpus_smoke.sh
 
 # tenant-smoke: multi-tenant serving — two-tenant fairness under a

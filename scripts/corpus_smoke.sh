@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Corpus smoke test (CI job `corpus-smoke`): the stateful-NF corpus and
-# the accelerator-variant catalog, end to end — run the flow-state
-# acceptance suite (pinned churn counters + worker-count determinism)
-# and the catalog unit tests, then drive the CLI: `clara corpus` must
-# emit valid JSON with every flow-table NF classified as flow-state and
-# the expected catalog hits, and `clara backends` must list each
-# manifest's accelerator menu including dpu-offpath's non-default
-# crc64-ecma variant.
+# the accelerator-variant catalog at the CLI — `clara corpus` must emit
+# valid JSON with every flow-table NF classified as flow-state and the
+# expected catalog hits, and `clara backends` must list each manifest's
+# accelerator menu including dpu-offpath's non-default crc64-ecma
+# variant. The flow-state acceptance suite (`tests/flow_corpus.rs`) and
+# the catalog unit tests run in the tier-1 `cargo test -q`.
 # Run from the repository root: ./scripts/corpus_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,8 +13,6 @@ cd "$(dirname "$0")/.."
 BIN=target/release/clara
 
 cargo build --release --bin clara
-cargo test -q -p clara-accel
-cargo test -q --test flow_corpus
 
 corpus="$("$BIN" corpus)"
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # HAL smoke test (CI job `hal-matrix`): exercise the device-backend CLI
-# surface end to end — list backends, run the manifest validation and
-# backend-matrix suites, produce a cross-device analysis matrix, and run
-# a cross-backend difftest. The typed exit code 8 for an unknown backend
-# name is pinned by `tests/backend_matrix.rs` in the tier-1 run.
+# surface end to end — list backends, produce a cross-device analysis
+# matrix, and run a cross-backend difftest. The manifest validation
+# suite (`-p clara-hal`), the backend matrix and the typed exit code 8
+# for an unknown backend name (`tests/backend_matrix.rs`) run in the
+# tier-1 `cargo test -q`.
 # Run from the repository root: ./scripts/hal_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,8 +13,6 @@ MODEL="${CLARA_HAL_MODEL:-hal-smoke-model.json}"
 BIN=target/release/clara
 
 cargo build --release --bin clara
-cargo test -q -p clara-hal
-cargo test -q --test backend_matrix
 
 rm -f "$MODEL"
 

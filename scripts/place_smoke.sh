@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Placement smoke test (CI job `place-smoke`): exercise the `clara place`
-# surface end to end — the placement test suite (ILP-vs-greedy difftest +
-# golden matrix + replay properties), a static multi-NF placement, a
-# drifting replay that must re-solve at least once and leave a migration
-# RunReport artifact behind, and the typed exit code for an infeasible
-# placement against a capacity-starved device manifest.
+# surface end to end — a static multi-NF placement, a drifting replay
+# that must re-solve at least once and leave a migration RunReport
+# artifact behind, and the typed exit code for an infeasible placement
+# against a capacity-starved device manifest. The placement test suite
+# (ILP-vs-greedy difftest + golden matrix + replay properties,
+# `tests/placement.rs`) runs in the tier-1 `cargo test -q`.
 # Run from the repository root: ./scripts/place_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,7 +16,6 @@ TINY="$(mktemp -d)"
 trap 'rm -rf "$TINY"' EXIT
 
 cargo build --release --bin clara
-cargo test -q --test placement
 
 rm -f "$MODEL" BENCH_place_replay.json
 
@@ -132,4 +132,4 @@ if [ "$code" -ne 10 ]; then
 fi
 
 rm -f "$MODEL"
-echo "place_smoke: ok (difftest + golden green, $resolves re-solve(s) on drift, exit 10 pinned)"
+echo "place_smoke: ok (static plan, $resolves re-solve(s) on drift, exit 10 pinned)"

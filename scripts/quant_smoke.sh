@@ -4,7 +4,8 @@
 # floor, require the typed exit code for a violated tolerance knob, and
 # drive `bench-serve` against daemons serving at both precisions (the
 # q16 daemon with a raised warm-vs-one-shot floor: the integer predict
-# stage must not eat into the serving win).
+# stage must not eat into the serving win). The quantization suite
+# (`tests/quant.rs`) runs in the tier-1 `cargo test -q`.
 # Run from the repository root: ./scripts/quant_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,7 +15,6 @@ MODEL="${CLARA_QUANT_MODEL:-quant-smoke-model.json}"
 BIN=target/release/clara
 
 cargo build --release --bin clara
-cargo test -q --test quant
 
 rm -f "$MODEL" BENCH_serve_f64.json BENCH_serve_q16.json
 

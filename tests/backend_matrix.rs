@@ -264,6 +264,36 @@ fn default_backend_report_is_byte_identical_to_legacy() {
     check_golden("backend_report_fp.txt", &fp);
 }
 
+/// `analyze` on the model's default device and `analyze_on_prec` on the
+/// default backend share one profile-cache entry: the second run hits.
+#[test]
+fn default_device_shares_the_default_backend_profile() {
+    let _g = obs_lock();
+    let clara = clara();
+    let e = clara_repro::click::corpus()
+        .into_iter()
+        .find(|e| e.name() == "udpcount")
+        .expect("known corpus element");
+    let trace = Trace::generate(&WorkloadSpec::small_flows(), 80, 23);
+    let eng = engine::Engine::new();
+    eng.clear_caches();
+    let before = eng.stats();
+    let legacy = clara.analyze(&e.module, &trace).expect("analyze");
+    let on_default = clara
+        .analyze_on_prec(&e.module, &trace, hal::default_backend(), clara.precision)
+        .expect("analyze on default backend");
+    let after = eng.stats();
+    assert_eq!(format!("{legacy:?}"), format!("{on_default:?}"));
+    assert_eq!(
+        (
+            after.profile_misses - before.profile_misses,
+            after.profile_hits - before.profile_hits
+        ),
+        (1, 1),
+        "one profile computed, then served from the cache"
+    );
+}
+
 #[test]
 fn cli_predict_prints_the_facade_answer() {
     let _g = obs_lock();
