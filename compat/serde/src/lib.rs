@@ -10,6 +10,14 @@
 //! and parses it back, which is all `Clara::save`/`Clara::load` and the
 //! IR round-trip tests need.
 //!
+//! [`Deserialize`] has two entry points that accept the same inputs and
+//! decode them alike: [`Deserialize::from_value`] reads a tree, and
+//! [`Deserialize::deserialize`] pulls the value straight from a
+//! [`Tokens`] stream (the `serde_json` parser), so a large file never
+//! becomes a tree. The streaming default reads the value as a tree and
+//! calls `from_value`; numbers, `bool`, `String`, `Vec`, `Option`,
+//! [`Value`] and every derived type override it.
+//!
 //! Encoding conventions (chosen so that the derive stays simple and the
 //! output remains valid JSON):
 //!
@@ -23,6 +31,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -95,7 +104,7 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Types reconstructible from a [`Value`].
+/// Types reconstructible from a [`Value`] or from a [`Tokens`] stream.
 pub trait Deserialize: Sized {
     /// Rebuilds `Self` from the serialization tree.
     ///
@@ -103,6 +112,127 @@ pub trait Deserialize: Sized {
     ///
     /// Returns an error when the tree's shape does not match `Self`.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Decodes `Self` from the next value of a token stream. An override
+    /// must accept exactly the values [`Deserialize::from_value`] accepts
+    /// and decode them to the same `Self`; this default reads the value
+    /// whole as a tree and hands it to `from_value`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the stream is malformed or the value's shape
+    /// does not match `Self`.
+    fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+        Self::from_value(&r.value()?)
+    }
+}
+
+/// The kind of the next value in a [`Tokens`] stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    Str,
+    /// A sequence.
+    Seq,
+    /// A map.
+    Map,
+}
+
+impl Kind {
+    /// Short description, for error messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Number => "number",
+            Kind::Str => "string",
+            Kind::Seq => "sequence",
+            Kind::Map => "map",
+        }
+    }
+}
+
+/// A pull source of values: the input of [`Deserialize::deserialize`].
+///
+/// A sequence is read as [`Tokens::seq_begin`], then
+/// [`Tokens::seq_next`] before each element until it returns `false`; a
+/// map as [`Tokens::map_begin`], then [`Tokens::map_key`] before each
+/// value until it returns `None`. A source bounds how deeply values nest,
+/// so a decoder that recurses along its input stays within the stack.
+pub trait Tokens {
+    /// The kind of the next value, which is not consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error at the end of input or where no value starts.
+    fn peek(&mut self) -> Result<Kind, Error>;
+
+    /// Reads the next value whole. Scalars other than strings allocate
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the value is malformed or nests too deeply.
+    fn value(&mut self) -> Result<Value, Error>;
+
+    /// Reads the next value, which must be a number.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when it is not a well-formed number.
+    fn number(&mut self) -> Result<Number, Error>;
+
+    /// Skips the next value, which must still be well-formed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the value is malformed or nests too deeply.
+    fn skip(&mut self) -> Result<(), Error>;
+
+    /// Reads the next value, which must be a string.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when it is not a well-formed string.
+    fn string(&mut self) -> Result<String, Error>;
+
+    /// Opens the sequence that is the next value.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the next value is not a sequence or nests
+    /// too deeply.
+    fn seq_begin(&mut self) -> Result<(), Error>;
+
+    /// Whether another element of the open sequence follows; `false`
+    /// means the sequence has been closed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when neither another element nor the end follows.
+    fn seq_next(&mut self) -> Result<bool, Error>;
+
+    /// Opens the map that is the next value.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the next value is not a map or nests too
+    /// deeply.
+    fn map_begin(&mut self) -> Result<(), Error>;
+
+    /// The key of the next entry of the open map, leaving the stream at
+    /// its value; `None` means the map has been closed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when neither another entry nor the end follows.
+    fn map_key(&mut self) -> Result<Option<Cow<'_, str>>, Error>;
 }
 
 // ---- helpers used by the derive expansion ------------------------------
@@ -157,25 +287,136 @@ pub fn variant(v: &Value) -> Result<(&str, &Value), Error> {
     }
 }
 
+/// Decodes the value of a named field from a stream (derive helper): the
+/// streaming [`from_field`] for a key that is present.
+///
+/// # Errors
+///
+/// Returns an error if the value is malformed or mistyped.
+pub fn read_field<T: Deserialize, R: Tokens + ?Sized>(r: &mut R, name: &str) -> Result<T, Error> {
+    T::deserialize(r).map_err(|e| Error(format!("field `{name}`: {}", e.0)))
+}
+
+/// A named field read from a stream, or what [`from_field`] makes of the
+/// key when the map lacked it (derive helper).
+///
+/// # Errors
+///
+/// Returns an error if the field is missing and `T` has no missing form.
+pub fn take_field<T: Deserialize>(slot: Option<T>, name: &str) -> Result<T, Error> {
+    match slot {
+        Some(t) => Ok(t),
+        None => {
+            T::from_value(&Value::Null).map_err(|_| Error(format!("missing field `{name}` in map")))
+        }
+    }
+}
+
+/// Decodes element `i` of an open sequence (derive helper): the streaming
+/// [`from_index`] on a sequence.
+///
+/// # Errors
+///
+/// Returns an error if the sequence ends first or the element is
+/// malformed or mistyped.
+pub fn read_element<T: Deserialize, R: Tokens + ?Sized>(r: &mut R, i: usize) -> Result<T, Error> {
+    if !r.seq_next()? {
+        return Err(Error(format!("sequence too short: no element {i}")));
+    }
+    T::deserialize(r).map_err(|e| Error(format!("element {i}: {}", e.0)))
+}
+
+/// Skips the rest of an open sequence (derive helper): elements past a
+/// tuple's last field are ignored, as [`from_index`] ignores them.
+///
+/// # Errors
+///
+/// Returns an error if the rest is malformed.
+pub fn skip_rest<R: Tokens + ?Sized>(r: &mut R) -> Result<(), Error> {
+    while r.seq_next()? {
+        r.skip()?;
+    }
+    Ok(())
+}
+
 // ---- primitive impls ---------------------------------------------------
+
+/// A number as a [`Tokens`] source reads it: what [`Value::Int`],
+/// [`Value::UInt`] and [`Value::Float`] carry, without a tree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// Signed integer (also carries unsigned values ≤ `i64::MAX`).
+    Int(i64),
+    /// Unsigned integer above `i64::MAX`.
+    UInt(u64),
+    /// Floating point.
+    Float(f64),
+}
+
+impl From<Number> for Value {
+    fn from(n: Number) -> Value {
+        match n {
+            Number::Int(i) => Value::Int(i),
+            Number::UInt(u) => Value::UInt(u),
+            Number::Float(f) => Value::Float(f),
+        }
+    }
+}
+
+/// The number a tree holds, if it is one.
+fn number(v: &Value) -> Option<Number> {
+    match v {
+        Value::Int(i) => Some(Number::Int(*i)),
+        Value::UInt(u) => Some(Number::UInt(*u)),
+        Value::Float(f) => Some(Number::Float(*f)),
+        _ => None,
+    }
+}
+
+/// The numeric types: one conversion from a number, shared by both
+/// entry points.
+trait FromNumber: Sized {
+    fn from_number(n: Number) -> Result<Self, Error>;
+}
+
+macro_rules! impl_serde_int {
+    ($($t:ty),*) => {$(
+        impl FromNumber for $t {
+            #[inline]
+            fn from_number(n: Number) -> Result<Self, Error> {
+                match n {
+                    Number::Int(i) => <$t>::try_from(i)
+                        .map_err(|_| Error(format!("{} out of range for {}", i, stringify!($t)))),
+                    Number::UInt(u) => <$t>::try_from(u)
+                        .map_err(|_| Error(format!("{} out of range for {}", u, stringify!($t)))),
+                    Number::Float(_) => Err(Error("expected integer, got float".to_string())),
+                }
+            }
+        }
+        impl Deserialize for $t {
+            #[inline]
+            fn from_value(v: &Value) -> Result<Self, Error> {
+                match number(v) {
+                    Some(n) => Self::from_number(n),
+                    None => Err(Error(format!("expected integer, got {}", v.kind()))),
+                }
+            }
+            #[inline]
+            fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+                match r.peek()? {
+                    Kind::Number => Self::from_number(r.number()?),
+                    other => Err(Error(format!("expected integer, got {}", other.name()))),
+                }
+            }
+        }
+    )*};
+}
+impl_serde_int!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 
 macro_rules! impl_serde_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::Int(*self as i64) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| Error(format!("{} out of range for {}", i, stringify!($t)))),
-                    Value::UInt(u) => <$t>::try_from(*u)
-                        .map_err(|_| Error(format!("{} out of range for {}", u, stringify!($t)))),
-                    other => Err(Error(format!(
-                        "expected integer, got {}", other.kind()
-                    ))),
-                }
-            }
         }
     )*};
 }
@@ -192,21 +433,6 @@ macro_rules! impl_serde_unsigned {
                 }
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(i) => u64::try_from(*i)
-                        .ok()
-                        .and_then(|u| <$t>::try_from(u).ok())
-                        .ok_or_else(|| Error(format!("{} out of range for {}", i, stringify!($t)))),
-                    Value::UInt(u) => <$t>::try_from(*u)
-                        .map_err(|_| Error(format!("{} out of range for {}", u, stringify!($t)))),
-                    other => Err(Error(format!(
-                        "expected integer, got {}", other.kind()
-                    ))),
-                }
-            }
-        }
     )*};
 }
 impl_serde_unsigned!(u8, u16, u32, u64, usize);
@@ -216,12 +442,20 @@ macro_rules! impl_serde_float {
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::Float(f64::from(*self)) }
         }
+        impl FromNumber for $t {
+            #[inline]
+            fn from_number(n: Number) -> Result<Self, Error> {
+                Ok(match n {
+                    Number::Int(i) => i as $t,
+                    Number::UInt(u) => u as $t,
+                    Number::Float(f) => f as $t,
+                })
+            }
+        }
         impl Deserialize for $t {
+            #[inline]
             fn from_value(v: &Value) -> Result<Self, Error> {
                 match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    Value::UInt(u) => Ok(*u as $t),
                     // Non-finite floats are rendered as strings by serde_json.
                     Value::Str(s) => match s.as_str() {
                         "NaN" => Ok(<$t>::NAN),
@@ -229,9 +463,18 @@ macro_rules! impl_serde_float {
                         "-inf" => Ok(<$t>::NEG_INFINITY),
                         _ => Err(Error(format!("expected number, got string {s:?}"))),
                     },
-                    other => Err(Error(format!(
-                        "expected number, got {}", other.kind()
-                    ))),
+                    other => match number(other) {
+                        Some(n) => Self::from_number(n),
+                        None => Err(Error(format!("expected number, got {}", other.kind()))),
+                    },
+                }
+            }
+            #[inline]
+            fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+                match r.peek()? {
+                    Kind::Number => Self::from_number(r.number()?),
+                    Kind::Str => Self::from_value(&r.value()?),
+                    other => Err(Error(format!("expected number, got {}", other.name()))),
                 }
             }
         }
@@ -252,6 +495,13 @@ impl Deserialize for bool {
             other => Err(Error(format!("expected bool, got {}", other.kind()))),
         }
     }
+
+    fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+        match r.peek()? {
+            Kind::Bool => Self::from_value(&r.value()?),
+            other => Err(Error(format!("expected bool, got {}", other.name()))),
+        }
+    }
 }
 
 impl Serialize for String {
@@ -265,6 +515,13 @@ impl Deserialize for String {
         match v {
             Value::Str(s) => Ok(s.clone()),
             other => Err(Error(format!("expected string, got {}", other.kind()))),
+        }
+    }
+
+    fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+        match r.peek()? {
+            Kind::Str => r.string(),
+            other => Err(Error(format!("expected string, got {}", other.name()))),
         }
     }
 }
@@ -325,6 +582,16 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::from_value(other).map(Some),
         }
     }
+
+    fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+        match r.peek()? {
+            Kind::Null => r.skip().map(|()| None),
+            // `[x]` is `Some(x)` but any other sequence decodes as a `T`,
+            // which only the whole sequence tells apart.
+            Kind::Seq => Self::from_value(&r.value()?),
+            _ => T::deserialize(r).map(Some),
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -339,6 +606,18 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             Value::Seq(items) => items.iter().map(T::from_value).collect(),
             other => Err(Error(format!("expected sequence, got {}", other.kind()))),
         }
+    }
+
+    fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+        match r.peek()? {
+            Kind::Seq => r.seq_begin()?,
+            other => return Err(Error(format!("expected sequence, got {}", other.name()))),
+        }
+        let mut items = Vec::new();
+        while r.seq_next()? {
+            items.push(T::deserialize(r)?);
+        }
+        Ok(items)
     }
 }
 
@@ -566,5 +845,9 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+        r.value()
     }
 }

@@ -14,6 +14,7 @@
 //!   [`Clara::analyze`] record a [`clara_obs`] span tree and write a
 //!   JSON run report when they finish.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
@@ -21,7 +22,7 @@ use std::sync::{Mutex, OnceLock};
 use clara_obs as obs;
 use nf_ir::{BlockId, GlobalId, Module};
 use nic_sim::{Accel, CoalescePlan, MemLevel, NicConfig, PortConfig, WorkloadProfile};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Kind, Serialize, Tokens, Value};
 use trafgen::Trace;
 
 use crate::algid::{AlgoClass, AlgoIdentifier, ClassifierKind};
@@ -42,6 +43,84 @@ use tinyml::quant::Precision;
 /// preorder arrays. A model file is a deterministic function of its
 /// [`ClaraConfig`], so an older file is re-trained, not converted.
 pub const MODEL_FORMAT_VERSION: u64 = 3;
+
+/// The sections of a model file, read in one streaming pass by
+/// [`Envelope::read`]. The first of duplicate keys counts and unknown keys
+/// are skipped. A section that is well-formed JSON but does not decode
+/// keeps its error instead of ending the pass, so the file's
+/// `format_version`, wherever it sits, still decides between a version
+/// mismatch and that error.
+#[derive(Default)]
+struct Envelope {
+    version: Option<Value>,
+    nic_config: Option<Result<NicConfig, String>>,
+    precision: Option<Result<Precision, String>>,
+    models: Option<Result<Models, String>>,
+}
+
+/// The `models` section of a model file.
+#[derive(Deserialize)]
+struct Models {
+    predictor: InstructionPredictor,
+    algid: AlgoIdentifier,
+    scaleout: ScaleoutModel,
+}
+
+impl Envelope {
+    /// Reads the envelope of `json`, decoding each section straight from
+    /// the text.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `json` is not well-formed JSON (or nests
+    /// deeper than [`serde_json::MAX_DEPTH`]).
+    fn read(json: &str) -> Result<Envelope, serde::Error> {
+        let mut p = serde_json::Parser::new(json);
+        let mut env = Envelope::default();
+        if p.peek()? == Kind::Map {
+            p.map_begin()?;
+            while let Some(key) = p.map_key()?.map(Cow::into_owned) {
+                match key.as_str() {
+                    "format_version" if env.version.is_none() => env.version = Some(p.value()?),
+                    "nic_config" if env.nic_config.is_none() => {
+                        env.nic_config = Some(decode_or_skip(&mut p)?)
+                    }
+                    "precision" if env.precision.is_none() => {
+                        env.precision = Some(decode_or_skip(&mut p)?)
+                    }
+                    "models" if env.models.is_none() => env.models = Some(decode_or_skip(&mut p)?),
+                    _ => p.skip()?,
+                }
+            }
+        } else {
+            p.skip()?;
+        }
+        p.end()?;
+        Ok(env)
+    }
+}
+
+/// Decodes the next value as a `T`. A value that is well-formed but does
+/// not decode is skipped from where it started, and its error returned
+/// inside `Ok`.
+fn decode_or_skip<T: Deserialize>(
+    p: &mut serde_json::Parser<'_>,
+) -> Result<Result<T, String>, serde::Error> {
+    let start = p.clone();
+    match T::deserialize(p) {
+        Ok(t) => Ok(Ok(t)),
+        Err(e) => {
+            *p = start;
+            p.skip()?;
+            Ok(Err(e.to_string()))
+        }
+    }
+}
+
+/// A decoded envelope section, or why the file has no usable one.
+fn section<T>(slot: Option<Result<T, String>>, name: &str) -> Result<T, String> {
+    slot.unwrap_or_else(|| Err(format!("missing `{name}` section")))
+}
 
 /// Training budget for the whole Clara pipeline.
 ///
@@ -437,19 +516,21 @@ impl Clara {
 
     /// Loads a pipeline previously written by [`Clara::save`].
     ///
-    /// Reads [`MODEL_FORMAT_VERSION`] only. Decoding checks every shape
-    /// inference indexes (matrix sizes, LSTM tensors against their
-    /// config, tree arrays, GBDT split features) and then rebuilds the
-    /// Q16.16 companions from the f64 weights — a pure function of the
-    /// weights, so they are identical to the ones training built.
+    /// Reads [`MODEL_FORMAT_VERSION`] only, in one pass over the text:
+    /// each section decodes straight from the JSON, with no value tree.
+    /// Decoding checks every shape inference indexes (matrix sizes, LSTM
+    /// tensors against their config, tree arrays, GBDT split features)
+    /// and then rebuilds the Q16.16 companions from the f64 weights — a
+    /// pure function of the weights, so they are identical to the ones
+    /// training built.
     ///
     /// # Errors
     ///
     /// Returns [`ClaraError::Io`] when the file cannot be read,
-    /// [`ClaraError::Format`] when it is not a Clara model envelope or a
-    /// model section fails those checks, and
-    /// [`ClaraError::UnsupportedVersion`] when it was written in any
-    /// other format version.
+    /// [`ClaraError::Format`] when it is not well-formed JSON, not a
+    /// Clara model envelope, or a model section fails those checks, and
+    /// [`ClaraError::UnsupportedVersion`] when it is well-formed JSON
+    /// written in any other format version.
     pub fn load(path: impl AsRef<Path>) -> Result<Clara, ClaraError> {
         let path = path.as_ref();
         let format = |detail: String| ClaraError::Format {
@@ -460,10 +541,10 @@ impl Clara {
             path: path.to_path_buf(),
             source,
         })?;
-        let v = serde_json::parse_value(&json).map_err(|e| format(e.to_string()))?;
-        let found = match v.get("format_version") {
-            Some(Value::Int(i)) if *i >= 0 => *i as u64,
-            Some(Value::UInt(u)) => *u,
+        let env = Envelope::read(&json).map_err(|e| format(e.to_string()))?;
+        let found = match env.version {
+            Some(Value::Int(i)) if i >= 0 => i as u64,
+            Some(Value::UInt(u)) => u,
             _ => {
                 return Err(format(
                     "missing `format_version` — not a Clara model file (or written by a \
@@ -478,31 +559,13 @@ impl Clara {
                 supported: MODEL_FORMAT_VERSION,
             });
         }
-        let models = v
-            .get("models")
-            .ok_or_else(|| format("missing `models` section".to_string()))?;
-        let field = |name: &str| {
-            models
-                .get(name)
-                .ok_or_else(|| format(format!("missing `models.{name}` section")))
-        };
+        let models = section(env.models, "models").map_err(format)?;
         Ok(Clara {
-            predictor: InstructionPredictor::from_value(field("predictor")?)
-                .map_err(|e| format(e.to_string()))?,
-            algid: AlgoIdentifier::from_value(field("algid")?)
-                .map_err(|e| format(e.to_string()))?,
-            scaleout: ScaleoutModel::from_value(field("scaleout")?)
-                .map_err(|e| format(e.to_string()))?,
-            nic: NicConfig::from_value(
-                v.get("nic_config")
-                    .ok_or_else(|| format("missing `nic_config` section".to_string()))?,
-            )
-            .map_err(|e| format(e.to_string()))?,
-            precision: Precision::from_value(
-                v.get("precision")
-                    .ok_or_else(|| format("missing `precision` section".to_string()))?,
-            )
-            .map_err(|e| format(e.to_string()))?,
+            predictor: models.predictor,
+            algid: models.algid,
+            scaleout: models.scaleout,
+            nic: section(env.nic_config, "nic_config").map_err(format)?,
+            precision: section(env.precision, "precision").map_err(format)?,
         })
     }
 

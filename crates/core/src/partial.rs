@@ -96,13 +96,16 @@ pub struct SplitPlan {
 }
 
 /// Evaluates every prefix split of a chain and returns one plan per
-/// split point (`0..=n` NIC stages), ordered by split point.
+/// split point (`0..=n` NIC stages), ordered by split point. `nics[s]`
+/// is stage `s`'s vendor-compiled module.
 ///
 /// # Panics
 ///
 /// Panics if inputs mismatch or the chain fails to run (element bugs).
+#[allow(clippy::too_many_arguments)]
 pub fn suggest_split(
     modules: &[&nf_ir::Module],
+    nics: &[&nfcc::NicModule],
     trace: &Trace,
     ports: &[&PortConfig],
     nic_cfg: &NicConfig,
@@ -110,7 +113,7 @@ pub fn suggest_split(
     host: &HostConfig,
     setup: impl FnOnce(&mut click_model::Chain),
 ) -> Vec<SplitPlan> {
-    let stages = nic_sim::profile_chain_stages(modules, trace, ports, nic_cfg, setup);
+    let stages = nic_sim::profile_chain_stages(modules, nics, trace, ports, nic_cfg, setup);
     let n = stages.len();
     let mut plans = Vec::with_capacity(n + 1);
     for k in 0..=n {
@@ -197,8 +200,11 @@ mod tests {
         let cfg = NicConfig::default();
         let naive = PortConfig::naive();
         let pfx = u64::from(trace.pkts[0].flow.src_ip >> 12);
+        let modules = [&fw.module, &nat.module, &stats.module];
+        let nics = modules.map(nfcc::compile_module);
         suggest_split(
-            &[&fw.module, &nat.module, &stats.module],
+            &modules,
+            &nics.each_ref(),
             &trace,
             &[&naive, &naive, &naive],
             &cfg,

@@ -887,9 +887,19 @@ impl Clara {
             .sum();
 
         let module_refs: Vec<&Module> = modules.iter().map(|e| &e.module).collect();
+        // The stages' compiles come from the engine's cache, keyed on the
+        // corpus fingerprints: a repeated request compiles nothing.
+        let engine = engine::Engine::new();
+        let compiled: Vec<_> = modules
+            .iter()
+            .zip(&module_fps)
+            .map(|(e, &fp)| engine.compile_cached_fp(&e.module, fp))
+            .collect();
+        let nic_refs: Vec<&nfcc::NicModule> = compiled.iter().map(|n| &**n).collect();
         let port_refs: Vec<&PortConfig> = ports.iter().collect();
         let split_plans = suggest_split(
             &module_refs,
+            &nic_refs,
             &basis_trace,
             &port_refs,
             nic,

@@ -10,7 +10,7 @@
 //! machine code as compiled from the SmartNIC compiler directly".
 
 use nf_ir::{abstraction, Module, Vocabulary};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Tokens, Value};
 use tinyml::cnn::{Cnn1d, CnnConfig};
 use tinyml::lstm::{LstmConfig, LstmRegressor};
 use tinyml::metrics;
@@ -139,40 +139,49 @@ impl QuantModel {
 /// function of the f64 weights, so it is built at construction — after
 /// training and after decoding — and never serialized.
 pub struct InstructionPredictor {
+    saved: Saved,
+    quant: Option<QuantModel>,
+}
+
+/// What an [`InstructionPredictor`] saves: everything but its quantized
+/// companion.
+#[derive(Serialize, Deserialize)]
+#[serde(validate = "Saved::validate")]
+struct Saved {
     vocab: Vocabulary,
     kind: PredictorKind,
     model: Model,
-    quant: Option<QuantModel>,
+}
+
+impl Saved {
+    /// The decoding check: an LSTM's input width covers the vocabulary.
+    fn validate(&self) -> Result<(), Error> {
+        if let Model::Lstm(m) = &self.model {
+            let width = m.config().vocab;
+            if self.vocab.len() > width {
+                return Err(Error(format!(
+                    "vocabulary of {} tokens exceeds the LSTM input width {width}",
+                    self.vocab.len()
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Serialize for InstructionPredictor {
     fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("vocab".to_string(), self.vocab.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-            ("model".to_string(), self.model.to_value()),
-        ])
+        self.saved.to_value()
     }
 }
 
 impl Deserialize for InstructionPredictor {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let vocab: Vocabulary = serde::from_field(v, "vocab")?;
-        let model: Model = serde::from_field(v, "model")?;
-        if let Model::Lstm(m) = &model {
-            let width = m.config().vocab;
-            if vocab.len() > width {
-                return Err(Error(format!(
-                    "vocabulary of {} tokens exceeds the LSTM input width {width}",
-                    vocab.len()
-                )));
-            }
-        }
-        Ok(InstructionPredictor::new(
-            vocab,
-            serde::from_field(v, "kind")?,
-            model,
-        ))
+        Saved::from_value(v).map(InstructionPredictor::new)
+    }
+
+    fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+        Saved::deserialize(r).map(InstructionPredictor::new)
     }
 }
 
@@ -293,24 +302,19 @@ impl InstructionPredictor {
                 ))
             }
         };
-        InstructionPredictor::new(vocab, kind, model)
+        InstructionPredictor::new(Saved { vocab, kind, model })
     }
 
     /// Assembles a predictor and builds its quantized companion — the one
     /// constructor training and decoding share.
-    fn new(vocab: Vocabulary, kind: PredictorKind, model: Model) -> InstructionPredictor {
-        let quant = QuantModel::build(&model);
-        InstructionPredictor {
-            vocab,
-            kind,
-            model,
-            quant,
-        }
+    fn new(saved: Saved) -> InstructionPredictor {
+        let quant = QuantModel::build(&saved.model);
+        InstructionPredictor { saved, quant }
     }
 
     /// The model family this predictor uses.
     pub fn kind(&self) -> PredictorKind {
-        self.kind
+        self.saved.kind
     }
 
     /// True when this predictor carries a Q16.16 companion (always, for
@@ -322,7 +326,7 @@ impl InstructionPredictor {
     /// True when the model consumes token sequences (LSTM/CNN) rather
     /// than bag-of-tokens feature vectors (DNN/AutoML).
     fn uses_sequences(&self) -> bool {
-        matches!(self.model, Model::Lstm(_) | Model::Cnn(_))
+        matches!(self.saved.model, Model::Lstm(_) | Model::Cnn(_))
     }
 
     /// The single typed dispatch point: every prediction, at every
@@ -336,7 +340,7 @@ impl InstructionPredictor {
                 None => {}
             }
         }
-        match &self.model {
+        match &self.saved.model {
             Model::Lstm(m) => m,
             Model::Cnn(m) => m,
             Model::Dnn(m) => m,
@@ -353,9 +357,9 @@ impl InstructionPredictor {
     pub fn predict_block_prec(&self, tokens: &[nf_ir::AbstractToken], precision: Precision) -> f64 {
         let reg = self.regressor(precision);
         let pred = if self.uses_sequences() {
-            reg.predict(RegressorInput::Tokens(&self.vocab.encode(tokens)))
+            reg.predict(RegressorInput::Tokens(&self.saved.vocab.encode(tokens)))
         } else {
-            reg.predict(RegressorInput::Features(&bag_of_tokens(&self.vocab, tokens)))
+            reg.predict(RegressorInput::Features(&bag_of_tokens(&self.saved.vocab, tokens)))
         };
         pred.max(0.0)
     }
@@ -389,7 +393,7 @@ impl InstructionPredictor {
             let encoded: Vec<Vec<usize>> = prepared
                 .blocks
                 .iter()
-                .map(|b| self.vocab.encode(&b.tokens))
+                .map(|b| self.saved.vocab.encode(&b.tokens))
                 .collect();
             let inputs: Vec<RegressorInput<'_>> =
                 encoded.iter().map(|s| RegressorInput::Tokens(s)).collect();
@@ -398,7 +402,7 @@ impl InstructionPredictor {
             let feats: Vec<Vec<f64>> = prepared
                 .blocks
                 .iter()
-                .map(|b| bag_of_tokens(&self.vocab, &b.tokens))
+                .map(|b| bag_of_tokens(&self.saved.vocab, &b.tokens))
                 .collect();
             let inputs: Vec<RegressorInput<'_>> =
                 feats.iter().map(|f| RegressorInput::Features(f)).collect();

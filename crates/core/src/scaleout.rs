@@ -9,7 +9,7 @@
 use nic_sim::{optimal_cores, solve_perf, NicConfig, PortConfig, WorkloadProfile};
 
 use crate::error::ClaraError;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Tokens, Value};
 use tinyml::automl::AutoMlRegressor;
 use tinyml::gbdt::{GbdtConfig, GbdtRegressor};
 use tinyml::knn::Knn;
@@ -94,26 +94,25 @@ enum SoModel {
 /// decoding) and never serialized. Other families fall back to f64 at
 /// any requested precision.
 pub struct ScaleoutModel {
-    model: SoModel,
-    kind: ScaleoutKind,
-    max_cores: u32,
+    saved: Saved,
     quant: Option<QuantGbdt>,
 }
 
-impl Serialize for ScaleoutModel {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("model".to_string(), self.model.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-            ("max_cores".to_string(), self.max_cores.to_value()),
-        ])
-    }
+/// What a [`ScaleoutModel`] saves: everything but its quantized
+/// companion.
+#[derive(Serialize, Deserialize)]
+#[serde(validate = "Saved::validate")]
+struct Saved {
+    model: SoModel,
+    kind: ScaleoutKind,
+    max_cores: u32,
 }
 
-impl Deserialize for ScaleoutModel {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let model: SoModel = serde::from_field(v, "model")?;
-        if let SoModel::Gbdt(m) = &model {
+impl Saved {
+    /// The decoding check: a GBDT splits only on features the scale-out
+    /// feature vector has.
+    fn validate(&self) -> Result<(), Error> {
+        if let SoModel::Gbdt(m) = &self.model {
             if m.n_features() > FEATURES {
                 return Err(Error(format!(
                     "GBDT splits on feature {} of a {FEATURES}-wide feature vector",
@@ -121,11 +120,23 @@ impl Deserialize for ScaleoutModel {
                 )));
             }
         }
-        Ok(ScaleoutModel::new(
-            model,
-            serde::from_field(v, "kind")?,
-            serde::from_field(v, "max_cores")?,
-        ))
+        Ok(())
+    }
+}
+
+impl Serialize for ScaleoutModel {
+    fn to_value(&self) -> Value {
+        self.saved.to_value()
+    }
+}
+
+impl Deserialize for ScaleoutModel {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Saved::from_value(v).map(ScaleoutModel::new)
+    }
+
+    fn deserialize<R: Tokens + ?Sized>(r: &mut R) -> Result<Self, Error> {
+        Saved::deserialize(r).map(ScaleoutModel::new)
     }
 }
 
@@ -221,27 +232,26 @@ impl ScaleoutModel {
             }
             ScaleoutKind::AutoMl => SoModel::AutoMl(AutoMlRegressor::search(data, 10, seed)),
         };
-        ScaleoutModel::new(model, kind, cfg.cores)
+        ScaleoutModel::new(Saved {
+            model,
+            kind,
+            max_cores: cfg.cores,
+        })
     }
 
     /// Assembles a model and builds its quantized companion — the one
     /// constructor training and decoding share.
-    fn new(model: SoModel, kind: ScaleoutKind, max_cores: u32) -> ScaleoutModel {
-        let quant = match &model {
+    fn new(saved: Saved) -> ScaleoutModel {
+        let quant = match &saved.model {
             SoModel::Gbdt(m) => Some(QuantGbdt::quantize(m)),
             _ => None,
         };
-        ScaleoutModel {
-            model,
-            kind,
-            max_cores,
-            quant,
-        }
+        ScaleoutModel { saved, quant }
     }
 
     /// The model family used.
     pub fn kind(&self) -> ScaleoutKind {
-        self.kind
+        self.saved.kind
     }
 
     /// The [`Regressor`] serving a given precision (f64 reference unless
@@ -252,7 +262,7 @@ impl ScaleoutModel {
                 return q;
             }
         }
-        match &self.model {
+        match &self.saved.model {
             SoModel::Gbdt(m) => m,
             SoModel::Knn(m) => m,
             SoModel::Dnn(m) => m,
@@ -294,11 +304,11 @@ impl ScaleoutModel {
             return Err(ClaraError::Prediction {
                 detail: format!(
                     "{} scale-out model returned a non-finite core estimate ({raw})",
-                    self.kind.name()
+                    self.saved.kind.name()
                 ),
             });
         }
-        Ok((raw.round().max(1.0) as u32).min(self.max_cores))
+        Ok((raw.round().max(1.0) as u32).min(self.saved.max_cores))
     }
 
     /// Mean absolute error (in cores) on a labeled dataset.
@@ -310,7 +320,7 @@ impl ScaleoutModel {
                 let raw = self
                     .regressor(Precision::F64)
                     .predict(RegressorInput::Features(f));
-                raw.round().clamp(1.0, f64::from(self.max_cores))
+                raw.round().clamp(1.0, f64::from(self.saved.max_cores))
             })
             .collect();
         tinyml::metrics::mae(&data.y, &preds)

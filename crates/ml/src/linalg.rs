@@ -2,13 +2,14 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize};
 
 /// A dense row-major `f64` matrix.
 ///
 /// Decoding checks `data.len() == rows * cols`, so every accessor below
 /// stays inside `data` for a decoded matrix.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "Matrix::validate")]
 pub struct Matrix {
     /// Number of rows.
     pub rows: usize,
@@ -18,26 +19,20 @@ pub struct Matrix {
     pub data: Vec<f64>,
 }
 
-impl Deserialize for Matrix {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = Matrix {
-            rows: serde::from_field(v, "rows")?,
-            cols: serde::from_field(v, "cols")?,
-            data: serde::from_field(v, "data")?,
-        };
-        if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
-            return Err(Error(format!(
-                "{}x{} matrix holds {} values",
-                m.rows,
-                m.cols,
-                m.data.len()
-            )));
-        }
-        Ok(m)
-    }
-}
-
 impl Matrix {
+    /// The decoding check: `data` holds exactly `rows * cols` values.
+    fn validate(&self) -> Result<(), Error> {
+        if self.rows.checked_mul(self.cols) == Some(self.data.len()) {
+            return Ok(());
+        }
+        Err(Error(format!(
+            "{}x{} matrix holds {} values",
+            self.rows,
+            self.cols,
+            self.data.len()
+        )))
+    }
+
     /// A zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix {

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use clara_obs as obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize};
 
 use crate::linalg::{clip_grad, sigmoid, Adam, Matrix};
 
@@ -56,7 +56,8 @@ impl Default for LstmConfig {
 /// Decoding checks every tensor's shape against the config and rejects
 /// zero dimensions, so inference and [`crate::quant::QuantLstm::quantize`]
 /// index only inside the weights.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(validate = "LstmRegressor::validate")]
 pub struct LstmRegressor {
     pub(crate) cfg: LstmConfig,
     /// Input weights, `4*hidden x vocab` (one-hot input = column lookup).
@@ -78,27 +79,17 @@ pub struct LstmRegressor {
     pub(crate) y_std: Vec<f64>,
 }
 
-impl Deserialize for LstmRegressor {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = LstmRegressor {
-            cfg: serde::from_field(v, "cfg")?,
-            wx: serde::from_field(v, "wx")?,
-            wh: serde::from_field(v, "wh")?,
-            b: serde::from_field(v, "b")?,
-            w1: serde::from_field(v, "w1")?,
-            b1: serde::from_field(v, "b1")?,
-            w2: serde::from_field(v, "w2")?,
-            b2: serde::from_field(v, "b2")?,
-            y_mean: serde::from_field(v, "y_mean")?,
-            y_std: serde::from_field(v, "y_std")?,
-        };
+impl LstmRegressor {
+    /// The decoding check: non-zero dimensions, and every tensor shaped
+    /// as the config says.
+    fn validate(&self) -> Result<(), Error> {
         let LstmConfig {
             vocab,
             hidden: h,
             fc_hidden: fc,
             outputs: out,
             ..
-        } = m.cfg;
+        } = self.cfg;
         if vocab == 0 || h == 0 || fc == 0 || out == 0 {
             return Err(Error(format!(
                 "LSTM config has a zero dimension (vocab {vocab}, hidden {h}, fc_hidden {fc}, \
@@ -109,10 +100,10 @@ impl Deserialize for LstmRegressor {
             .checked_mul(4)
             .ok_or_else(|| Error(format!("LSTM hidden width {h} overflows")))?;
         let matrices = [
-            ("wx", &m.wx, gates, vocab),
-            ("wh", &m.wh, gates, h),
-            ("w1", &m.w1, fc, h),
-            ("w2", &m.w2, out, fc),
+            ("wx", &self.wx, gates, vocab),
+            ("wh", &self.wh, gates, h),
+            ("w1", &self.w1, fc, h),
+            ("w2", &self.w2, out, fc),
         ];
         for (name, w, rows, cols) in matrices {
             if (w.rows, w.cols) != (rows, cols) {
@@ -123,11 +114,11 @@ impl Deserialize for LstmRegressor {
             }
         }
         let vectors = [
-            ("b", m.b.len(), gates),
-            ("b1", m.b1.len(), fc),
-            ("b2", m.b2.len(), out),
-            ("y_mean", m.y_mean.len(), out),
-            ("y_std", m.y_std.len(), out),
+            ("b", self.b.len(), gates),
+            ("b1", self.b1.len(), fc),
+            ("b2", self.b2.len(), out),
+            ("y_mean", self.y_mean.len(), out),
+            ("y_std", self.y_std.len(), out),
         ];
         for (name, len, want) in vectors {
             if len != want {
@@ -136,7 +127,7 @@ impl Deserialize for LstmRegressor {
                 )));
             }
         }
-        Ok(m)
+        Ok(())
     }
 }
 

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize};
 
 /// Tree growth limits.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -133,29 +133,27 @@ fn grow(
 /// Serialized as the three arrays. Decoding checks that they are equal in
 /// length and that every right child lies in `(i + 1, len)`, so every
 /// walk moves forward and ends on a leaf inside the arrays.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(validate = "RegressionTree::validate")]
 pub struct RegressionTree {
     pub(crate) feat: Vec<usize>,
     pub(crate) value: Vec<f64>,
     pub(crate) right: Vec<usize>,
 }
 
-impl Deserialize for RegressionTree {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let t = RegressionTree {
-            feat: serde::from_field(v, "feat")?,
-            value: serde::from_field(v, "value")?,
-            right: serde::from_field(v, "right")?,
-        };
-        let n = t.value.len();
-        if n == 0 || t.feat.len() != n || t.right.len() != n {
+impl RegressionTree {
+    /// The decoding check: equal non-empty arrays, every right child
+    /// ahead of its split and inside the arrays.
+    fn validate(&self) -> Result<(), Error> {
+        let n = self.value.len();
+        if n == 0 || self.feat.len() != n || self.right.len() != n {
             return Err(Error(format!(
                 "tree arrays must be non-empty and equal in length (feat {}, value {n}, right {})",
-                t.feat.len(),
-                t.right.len()
+                self.feat.len(),
+                self.right.len()
             )));
         }
-        for (i, &r) in t.right.iter().enumerate() {
+        for (i, &r) in self.right.iter().enumerate() {
             if r != 0 && (r <= i + 1 || r >= n) {
                 return Err(Error(format!(
                     "tree node {i}: right child {r} outside ({}, {n})",
@@ -163,11 +161,9 @@ impl Deserialize for RegressionTree {
                 )));
             }
         }
-        Ok(t)
+        Ok(())
     }
-}
 
-impl RegressionTree {
     /// Fits a tree on the full dataset.
     ///
     /// # Panics

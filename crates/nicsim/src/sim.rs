@@ -9,6 +9,7 @@ use crate::config::NicConfig;
 use crate::model::{solve_colocated, solve_perf, PerfPoint};
 use crate::port::PortConfig;
 use crate::profile::{profile_workload, Costing, WorkloadProfile};
+use nfcc::NicModule;
 
 /// A reusable simulation context for one NF.
 #[derive(Debug, Clone)]
@@ -213,18 +214,23 @@ mod tests {
 /// Stage `s`'s globals are namespaced as `GlobalId(s * CHAIN_STRIDE + g)`
 /// in the combined profile so placements and working sets stay per-stage.
 ///
+/// `nics[s]` is stage `s`'s vendor-compiled module, so a caller that
+/// profiles the same stages again (every `place` request does) compiles
+/// each once, through its compile cache.
+///
 /// # Panics
 ///
-/// Panics if `modules`/`ports` lengths differ, a module fails
+/// Panics if `modules`/`nics`/`ports` lengths differ, a module fails
 /// verification, or the interpreter hits its step limit.
 pub fn profile_chain(
     modules: &[&Module],
+    nics: &[&NicModule],
     trace: &Trace,
     ports: &[&PortConfig],
     cfg: &NicConfig,
     setup: impl FnOnce(&mut click_model::Chain),
 ) -> WorkloadProfile {
-    let stages = profile_chain_stages(modules, trace, ports, cfg, setup);
+    let stages = profile_chain_stages(modules, nics, trace, ports, cfg, setup);
     merge_stage_profiles(&stages, trace)
 }
 
@@ -237,20 +243,21 @@ pub fn profile_chain(
 /// Panics under the same conditions as [`profile_chain`].
 pub fn profile_chain_stages(
     modules: &[&Module],
+    nics: &[&NicModule],
     trace: &Trace,
     ports: &[&PortConfig],
     cfg: &NicConfig,
     setup: impl FnOnce(&mut click_model::Chain),
 ) -> Vec<WorkloadProfile> {
     assert_eq!(modules.len(), ports.len(), "modules/ports mismatch");
+    assert_eq!(modules.len(), nics.len(), "modules/nics mismatch");
     let mut chain =
         click_model::Chain::new(modules.iter().copied()).expect("chain modules must verify");
     setup(&mut chain);
     // One costing sink per stage, fed in one interpreter pass.
-    let nics: Vec<nfcc::NicModule> = modules.iter().map(|m| nfcc::compile_module(m)).collect();
     let mut sinks: Vec<Costing> = modules
         .iter()
-        .zip(&nics)
+        .zip(nics)
         .zip(ports)
         .map(|((m, nic), port)| Costing::new(m, nic, port, cfg))
         .collect();
@@ -358,8 +365,13 @@ mod chain_tests {
         let port = PortConfig::naive();
         let solo_a = profile_workload(&a.module, &trace, &port, &cfg, |_| {});
         let solo_b = profile_workload(&b.module, &trace, &port, &cfg, |_| {});
+        let nics = [
+            &nfcc::compile_module(&a.module),
+            &nfcc::compile_module(&b.module),
+        ];
         let chain = profile_chain(
             &[&a.module, &b.module],
+            &nics,
             &trace,
             &[&port, &port],
             &cfg,
@@ -389,8 +401,13 @@ mod chain_tests {
         let trace = Trace::generate(&spec, 100, 2);
         let cfg = NicConfig::default();
         let port = PortConfig::naive();
+        let nics = [
+            &nfcc::compile_module(&fw.module),
+            &nfcc::compile_module(&agg.module),
+        ];
         let chain = profile_chain(
             &[&fw.module, &agg.module],
+            &nics,
             &trace,
             &[&port, &port],
             &cfg,
@@ -412,8 +429,13 @@ mod chain_tests {
         let trace = Trace::generate(&WorkloadSpec::imix(), 150, 3);
         let cfg = NicConfig::default();
         let port = PortConfig::naive();
+        let nics = [
+            &nfcc::compile_module(&a.module),
+            &nfcc::compile_module(&b.module),
+        ];
         let wp = profile_chain(
             &[&a.module, &b.module],
+            &nics,
             &trace,
             &[&port, &port],
             &cfg,

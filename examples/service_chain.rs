@@ -66,7 +66,15 @@ fn main() {
             .state
             .store(nf_ir::GlobalId(1), 0, 0, 4, pfx);
     };
-    let wp = nicsim::profile_chain(&modules, &trace, &ports, &cfg, install_rule);
+    let nics = modules.map(nfcc::compile_module);
+    let wp = nicsim::profile_chain(
+        &modules,
+        &nics.each_ref(),
+        &trace,
+        &ports,
+        &cfg,
+        install_rule,
+    );
     println!(
         "chain cost: {:.0} compute cycles/pkt, {:.1} state accesses/pkt",
         wp.compute,
@@ -110,7 +118,16 @@ fn main() {
     // Partial offloading (paper §6): which chain prefix belongs on the NIC?
     println!("\npartial offloading (NIC prefix | host suffix, 40 NIC cores):");
     let host = HostConfig::default();
-    let plans = suggest_split(&modules, &trace, &ports, &cfg, 40, &host, install_rule);
+    let plans = suggest_split(
+        &modules,
+        &nics.each_ref(),
+        &trace,
+        &ports,
+        &cfg,
+        40,
+        &host,
+        install_rule,
+    );
     for p in &plans {
         let (on_nic, on_host) = (
             chain.names()[..p.nic_stages].join("+"),

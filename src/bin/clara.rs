@@ -392,7 +392,9 @@ fn run() -> Result<(), ClaraError> {
             }
             let cores = o.cores.unwrap_or(insights.suggested_cores);
             let nic = backend.map_or(&clara.nic, |b| b.nic());
-            let naive = nicsim::simulate(&e.module, &trace, &PortConfig::naive(), nic, cores);
+            // The analysis already profiled the NF under the naive port on
+            // this device: re-solving that profile needs no second run.
+            let naive = nicsim::solve_perf(&insights.profile, nic, &PortConfig::naive(), cores);
             let tuned =
                 nicsim::simulate(&e.module, &trace, &insights.port_config(), nic, cores);
             println!(

@@ -18,6 +18,7 @@
 //! The `cli_*` tests drive the `clara` binary as a subprocess on the same
 //! trained pipeline, saved once: `predict --backend` prints the facade's
 //! answer, `analyze --backend all` matches `tests/golden/cli_analyze_all.txt`,
+//! one-shot `analyze` of seven NFs matches `tests/golden/cli_analyze_oneshot.txt`,
 //! and an unknown `--backend` exits 8.
 //!
 //! Regenerate after an *intentional* change with:
@@ -342,6 +343,35 @@ fn cli_analyze_all_backends_matches_golden() {
         "200",
     ]));
     check_golden("cli_analyze_all.txt", &got);
+}
+
+/// One-shot `clara analyze` stdout for NFs that between them print every
+/// line kind: accelerator regions, placements and pack clusters. Each run
+/// pays a model load and both operating points, so this pins the load
+/// path and the naive/tuned simulation answers together.
+#[test]
+fn cli_analyze_one_shot_matches_golden() {
+    let _g = obs_lock();
+    let mut got = String::new();
+    for nf in [
+        "cmsketch",
+        "iplookup",
+        "firewall",
+        "mazunat",
+        "dpi",
+        "tcpgen",
+        "flowstats",
+    ] {
+        got.push_str(&stdout_of(&clara_cli(&[
+            "analyze",
+            nf,
+            "--packets",
+            "400",
+            "--seed",
+            "3",
+        ])));
+    }
+    check_golden("cli_analyze_oneshot.txt", &got);
 }
 
 #[test]

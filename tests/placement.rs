@@ -18,12 +18,15 @@
 //! - the replay properties: a single-phase (drift-free) schedule never
 //!   migrates state, a phase-shifting schedule re-solves at least once,
 //!   and two identical `place` calls render byte-identical responses.
+//! - `repeated_place_compiles_nothing`: a second identical `place` adds
+//!   no compile-cache miss.
 
 use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 
+use clara_repro::clara::engine::Engine;
 use clara_repro::clara::placement::plan::{self, DEFAULT_NODE_BUDGET};
 use clara_repro::clara::{Clara, ClaraConfig, ClaraError, PlacementFailure, PlacementRequest};
 use clara_repro::hal::{self, Backend as _};
@@ -188,6 +191,32 @@ fn place_plan_has_the_request_shape_and_beats_greedy() {
         assert!(nf.suggested_cores >= 1);
         assert!(nf.solve.delta() >= -1e-9, "delta {}", nf.solve.delta());
     }
+}
+
+/// The chain split re-profiles every stage on each `place`, but its
+/// vendor compiles come from the engine's compile cache: a repeated
+/// request compiles nothing.
+#[test]
+fn repeated_place_compiles_nothing() {
+    let _g = obs_lock();
+    let req = PlacementRequest::new(["firewall", "mazunat", "flowstats"]);
+    let engine = Engine::new();
+    let first = clara().place(&req).expect("feasible request");
+    let before = engine.stats();
+    let again = clara().place(&req).expect("feasible request");
+    let after = engine.stats();
+    assert_eq!(
+        after.compile_misses, before.compile_misses,
+        "a repeated place must not compile"
+    );
+    assert!(
+        after.compile_hits > before.compile_hits,
+        "the split's compiles are cache hits"
+    );
+    assert_eq!(
+        clara_repro::serve::protocol::place_response(None, &first),
+        clara_repro::serve::protocol::place_response(None, &again),
+    );
 }
 
 #[test]

@@ -104,8 +104,13 @@ fn render() -> String {
             let b = &corpus[(i + 1) % corpus.len()];
             let pa = &ports(a)[1].1;
             let pb = PortConfig::naive();
+            let nics = [
+                &nfcc::compile_module(&a.module),
+                &nfcc::compile_module(&b.module),
+            ];
             let stages = nicsim::profile_chain_stages(
                 &[&a.module, &b.module],
+                &nics,
                 &trace,
                 &[pa, &pb],
                 &cfg,

@@ -11,7 +11,9 @@
 //! `unknown_tenant`/`quota_exceeded` rejections, and fair latency
 //! while another tenant bursts; (f) drain racing concurrent
 //! enqueuers always terminates with every admitted job answered;
-//! (g) the UDS frame transport serves bytes identical to TCP lines.
+//! (g) the UDS frame transport serves bytes identical to TCP lines;
+//! (h) a request nested past the JSON depth bound is a typed
+//! `bad_request` on both codecs, and the connection keeps serving.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -1385,4 +1387,69 @@ fn over_long_uds_frame_is_refused_and_the_connection_closed() {
     let summary = handle.join();
     assert_eq!(summary.served, 1);
     assert_eq!(summary.errors, 1, "the refusal is charged to `default`");
+}
+
+/// A request nested deeper than the JSON parser's bound — one line of
+/// 20,000 `[`, well under the request cap — is a typed `bad_request` on
+/// both codecs, not a stack overflow on the connection thread, and the
+/// same connections go on to answer `stats`.
+#[cfg(unix)]
+#[test]
+fn deeply_nested_request_is_a_typed_bad_request_on_both_codecs() {
+    use clara_repro::serve::transport;
+    use std::os::unix::net::UnixStream;
+
+    let _g = serve_lock();
+    let sock = std::env::temp_dir().join(format!("clara-serve-deep-{}.sock", std::process::id()));
+    let handle = Server::start(
+        ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            uds_path: Some(sock.to_string_lossy().into_owned()),
+            workers: 1,
+            queue_cap: 4,
+            batch_max: 1,
+            deadline: None,
+            backends: Vec::new(),
+            precision: Precision::F64,
+        },
+        clara(),
+    )
+    .expect("server binds TCP and UDS");
+    let deep = "[".repeat(20_000);
+    let stats = protocol::render_request(None, &Request::Stats);
+
+    let mut tcp = Conn::open(handle.addr());
+    let reply = tcp.send(&deep);
+    assert!(
+        reply.contains(r#""error":"bad_request""#),
+        "a deeply nested TCP line is a typed bad_request: {reply}"
+    );
+    assert!(
+        tcp.send(&stats).contains("\"ok\":true"),
+        "TCP still answers stats"
+    );
+
+    let mut uds = UnixStream::connect(&sock).expect("connect unix socket");
+    let (mut wbuf, mut rbuf) = (Vec::new(), Vec::new());
+    let mut uds_send = |line: &str| {
+        transport::write_frame(&mut uds, &mut wbuf, line).expect("write frame");
+        transport::read_frame(&mut uds, &mut rbuf)
+            .expect("read frame")
+            .expect("server answers the frame")
+    };
+    let reply = uds_send(&deep);
+    assert!(
+        reply.contains(r#""error":"bad_request""#),
+        "a deeply nested UDS frame is a typed bad_request: {reply}"
+    );
+    assert!(
+        uds_send(&stats).contains("\"ok\":true"),
+        "UDS still answers stats"
+    );
+
+    drop(uds);
+    drop(tcp);
+    handle.drain();
+    let summary = handle.join();
+    assert_eq!(summary.errors, 2, "both refusals are counted");
 }
