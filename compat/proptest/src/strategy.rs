@@ -244,9 +244,9 @@ fn parse_pattern(pat: &str) -> Vec<Piece> {
             }
             '\\' => {
                 i += 1;
-                let c = *chars.get(i).unwrap_or_else(|| {
-                    panic!("dangling escape in pattern {pat:?}")
-                });
+                let c = *chars
+                    .get(i)
+                    .unwrap_or_else(|| panic!("dangling escape in pattern {pat:?}"));
                 i += 1;
                 Atom::Lit(c)
             }
@@ -287,10 +287,7 @@ fn gen_atom(atom: &Atom, rng: &mut TestRng) -> char {
         Atom::AnyPrintable => char::from_u32(rng.gen_range(0x20u32..0x7f)).unwrap(),
         Atom::Lit(c) => *c,
         Atom::Set(ranges) => {
-            let total: u32 = ranges
-                .iter()
-                .map(|&(a, b)| b as u32 - a as u32 + 1)
-                .sum();
+            let total: u32 = ranges.iter().map(|&(a, b)| b as u32 - a as u32 + 1).sum();
             let mut pick = rng.gen_range(0..total);
             for &(a, b) in ranges {
                 let span = b as u32 - a as u32 + 1;

@@ -244,8 +244,7 @@ pub trait Tokens {
 /// Returns an error if the field is missing or mistyped.
 pub fn from_field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
     match v.get(name) {
-        Some(f) => T::from_value(f)
-            .map_err(|e| Error(format!("field `{name}`: {}", e.0))),
+        Some(f) => T::from_value(f).map_err(|e| Error(format!("field `{name}`: {}", e.0))),
         None => T::from_value(&Value::Null)
             .map_err(|_| Error(format!("missing field `{name}` in {}", v.kind()))),
     }
@@ -277,9 +276,7 @@ pub fn from_index<T: Deserialize>(v: &Value, i: usize) -> Result<T, Error> {
 pub fn variant(v: &Value) -> Result<(&str, &Value), Error> {
     match v {
         Value::Str(name) => Ok((name.as_str(), &Value::Null)),
-        Value::Map(entries) if entries.len() == 1 => {
-            Ok((entries[0].0.as_str(), &entries[0].1))
-        }
+        Value::Map(entries) if entries.len() == 1 => Ok((entries[0].0.as_str(), &entries[0].1)),
         other => Err(Error(format!(
             "expected enum variant, got {}",
             other.kind()

@@ -24,8 +24,14 @@ enum Fields {
 
 /// The parsed derive input.
 enum Item {
-    Struct { name: String, fields: Fields },
-    Enum { name: String, variants: Vec<(String, Fields)> },
+    Struct {
+        name: String,
+        fields: Fields,
+    },
+    Enum {
+        name: String,
+        variants: Vec<(String, Fields)>,
+    },
 }
 
 fn is_punct(t: &TokenTree, c: char) -> bool {
@@ -286,7 +292,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             )
         }
     };
-    code.parse().expect("serde_derive: generated Serialize impl must parse")
+    code.parse()
+        .expect("serde_derive: generated Serialize impl must parse")
 }
 
 // ---- Deserialize -------------------------------------------------------
@@ -502,5 +509,6 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
              }}\n\
          }}"
     );
-    code.parse().expect("serde_derive: generated Deserialize impl must parse")
+    code.parse()
+        .expect("serde_derive: generated Deserialize impl must parse")
 }

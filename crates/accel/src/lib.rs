@@ -101,24 +101,129 @@ pub struct Variant {
 /// pre-catalog manifests lower to identical costs.
 pub const CATALOG: &[Variant] = &[
     // -- checksum folds ------------------------------------------------
-    Variant { name: "csum-fold16", unit: AccelUnit::Checksum, width: 16, poly: 0, reflected: false, cycle_scale: 1.0 },
-    Variant { name: "csum-fold32", unit: AccelUnit::Checksum, width: 32, poly: 0, reflected: false, cycle_scale: 1.25 },
+    Variant {
+        name: "csum-fold16",
+        unit: AccelUnit::Checksum,
+        width: 16,
+        poly: 0,
+        reflected: false,
+        cycle_scale: 1.0,
+    },
+    Variant {
+        name: "csum-fold32",
+        unit: AccelUnit::Checksum,
+        width: 32,
+        poly: 0,
+        reflected: false,
+        cycle_scale: 1.25,
+    },
     // -- CRC engines ---------------------------------------------------
-    Variant { name: "crc8-smbus", unit: AccelUnit::Crc, width: 8, poly: 0x07, reflected: false, cycle_scale: 0.25 },
-    Variant { name: "crc8-maxim", unit: AccelUnit::Crc, width: 8, poly: 0x31, reflected: true, cycle_scale: 0.25 },
-    Variant { name: "crc16-ccitt", unit: AccelUnit::Crc, width: 16, poly: 0x1021, reflected: false, cycle_scale: 0.5 },
-    Variant { name: "crc16-ibm", unit: AccelUnit::Crc, width: 16, poly: 0x8005, reflected: true, cycle_scale: 0.5 },
-    Variant { name: "crc32-ieee", unit: AccelUnit::Crc, width: 32, poly: 0x04C1_1DB7, reflected: true, cycle_scale: 1.0 },
-    Variant { name: "crc32c", unit: AccelUnit::Crc, width: 32, poly: 0x1EDC_6F41, reflected: true, cycle_scale: 1.0 },
-    Variant { name: "crc64-ecma", unit: AccelUnit::Crc, width: 64, poly: 0x42F0_E1EB_A9EA_3693, reflected: false, cycle_scale: 2.0 },
-    Variant { name: "crc64-iso", unit: AccelUnit::Crc, width: 64, poly: 0x1B, reflected: true, cycle_scale: 2.0 },
+    Variant {
+        name: "crc8-smbus",
+        unit: AccelUnit::Crc,
+        width: 8,
+        poly: 0x07,
+        reflected: false,
+        cycle_scale: 0.25,
+    },
+    Variant {
+        name: "crc8-maxim",
+        unit: AccelUnit::Crc,
+        width: 8,
+        poly: 0x31,
+        reflected: true,
+        cycle_scale: 0.25,
+    },
+    Variant {
+        name: "crc16-ccitt",
+        unit: AccelUnit::Crc,
+        width: 16,
+        poly: 0x1021,
+        reflected: false,
+        cycle_scale: 0.5,
+    },
+    Variant {
+        name: "crc16-ibm",
+        unit: AccelUnit::Crc,
+        width: 16,
+        poly: 0x8005,
+        reflected: true,
+        cycle_scale: 0.5,
+    },
+    Variant {
+        name: "crc32-ieee",
+        unit: AccelUnit::Crc,
+        width: 32,
+        poly: 0x04C1_1DB7,
+        reflected: true,
+        cycle_scale: 1.0,
+    },
+    Variant {
+        name: "crc32c",
+        unit: AccelUnit::Crc,
+        width: 32,
+        poly: 0x1EDC_6F41,
+        reflected: true,
+        cycle_scale: 1.0,
+    },
+    Variant {
+        name: "crc64-ecma",
+        unit: AccelUnit::Crc,
+        width: 64,
+        poly: 0x42F0_E1EB_A9EA_3693,
+        reflected: false,
+        cycle_scale: 2.0,
+    },
+    Variant {
+        name: "crc64-iso",
+        unit: AccelUnit::Crc,
+        width: 64,
+        poly: 0x1B,
+        reflected: true,
+        cycle_scale: 2.0,
+    },
     // -- hash units ----------------------------------------------------
-    Variant { name: "hash-lookup3", unit: AccelUnit::Hash, width: 32, poly: 0x9E37_79B9, reflected: false, cycle_scale: 1.0 },
-    Variant { name: "hash-fnv1a", unit: AccelUnit::Hash, width: 32, poly: 0x0100_0193, reflected: false, cycle_scale: 1.1 },
+    Variant {
+        name: "hash-lookup3",
+        unit: AccelUnit::Hash,
+        width: 32,
+        poly: 0x9E37_79B9,
+        reflected: false,
+        cycle_scale: 1.0,
+    },
+    Variant {
+        name: "hash-fnv1a",
+        unit: AccelUnit::Hash,
+        width: 32,
+        poly: 0x0100_0193,
+        reflected: false,
+        cycle_scale: 1.1,
+    },
     // -- LPM blocks ----------------------------------------------------
-    Variant { name: "lpm-w16", unit: AccelUnit::Lpm, width: 16, poly: 0, reflected: false, cycle_scale: 0.6 },
-    Variant { name: "lpm-w24", unit: AccelUnit::Lpm, width: 24, poly: 0, reflected: false, cycle_scale: 0.8 },
-    Variant { name: "lpm-w32", unit: AccelUnit::Lpm, width: 32, poly: 0, reflected: false, cycle_scale: 1.0 },
+    Variant {
+        name: "lpm-w16",
+        unit: AccelUnit::Lpm,
+        width: 16,
+        poly: 0,
+        reflected: false,
+        cycle_scale: 0.6,
+    },
+    Variant {
+        name: "lpm-w24",
+        unit: AccelUnit::Lpm,
+        width: 24,
+        poly: 0,
+        reflected: false,
+        cycle_scale: 0.8,
+    },
+    Variant {
+        name: "lpm-w32",
+        unit: AccelUnit::Lpm,
+        width: 32,
+        poly: 0,
+        reflected: false,
+        cycle_scale: 1.0,
+    },
 ];
 
 /// Looks a variant up by catalog name.
@@ -171,7 +276,13 @@ pub fn match_constants(module: &Module) -> Vec<&'static Variant> {
     for f in &module.funcs {
         for b in &f.blocks {
             for inst in &b.insts {
-                let Inst::Bin { op: BinOp::Xor | BinOp::Mul, lhs, rhs, .. } = inst else {
+                let Inst::Bin {
+                    op: BinOp::Xor | BinOp::Mul,
+                    lhs,
+                    rhs,
+                    ..
+                } = inst
+                else {
                     continue;
                 };
                 for op in [lhs, rhs] {
@@ -188,7 +299,11 @@ pub fn match_constants(module: &Module) -> Vec<&'static Variant> {
             if v.poly == 0 {
                 return false;
             }
-            let mask = if v.width >= 64 { u64::MAX } else { (1 << v.width) - 1 };
+            let mask = if v.width >= 64 {
+                u64::MAX
+            } else {
+                (1 << v.width) - 1
+            };
             let fwd = v.poly & mask;
             let rev = reflect_bits(v.poly, v.width);
             consts
@@ -242,7 +357,12 @@ pub fn reference_module(variant: &Variant) -> Module {
                 let w = fb.load(Ty::I32, MemRef::pkt(PktField::Payload(i * 4)));
                 acc = fb.bin(BinOp::Add, Ty::I64, acc, w);
             }
-            let hi = fb.bin(BinOp::LShr, Ty::I64, acc, Operand::imm(i64::from(variant.width)));
+            let hi = fb.bin(
+                BinOp::LShr,
+                Ty::I64,
+                acc,
+                Operand::imm(i64::from(variant.width)),
+            );
             let lo = fb.bin(BinOp::And, Ty::I64, acc, Operand::imm(mask));
             acc = fb.bin(BinOp::Add, Ty::I64, hi, lo);
         }

@@ -29,7 +29,10 @@ impl Drop for ReportScope {
         let path = obs::resolve_sink(&raw, &format!("BENCH_{}.json", self.name));
         match obs::RunReport::capture().write(&path) {
             Ok(()) => println!("run report written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write run report to {}: {e}", path.display()),
+            Err(e) => eprintln!(
+                "warning: could not write run report to {}: {e}",
+                path.display()
+            ),
         }
     }
 }

@@ -209,8 +209,10 @@ mod tests {
         ] {
             let mut by_run = Chain::new(modules).expect("verifies");
             let mut by_sinks = Chain::new(modules).expect("verifies");
-            let mut by_hand: Vec<Machine> =
-                modules.iter().map(|m| Machine::new(m).expect("verifies")).collect();
+            let mut by_hand: Vec<Machine> = modules
+                .iter()
+                .map(|m| Machine::new(m).expect("verifies"))
+                .collect();
             for p in &trace.pkts {
                 let mut sinks = vec![ExecTrace::default(); 2];
                 let (verdict, dropped_at) = by_sinks.run_into(p, &mut sinks).expect("runs");
@@ -228,7 +230,9 @@ mod tests {
                 }
                 assert_eq!(verdict, view.verdict);
                 assert_eq!(sinks[..want.len()], want[..]);
-                assert!(sinks[want.len()..].iter().all(|t| *t == ExecTrace::default()));
+                assert!(sinks[want.len()..]
+                    .iter()
+                    .all(|t| *t == ExecTrace::default()));
                 assert!(want[0].steps > 0 && !want[0].events.is_empty());
 
                 let r = by_run.run(p).expect("runs");

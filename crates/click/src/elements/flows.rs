@@ -125,7 +125,11 @@ pub fn fwstate() -> NfElement {
         .call(ApiCall::FlowUpsert(g_flows), vec![key])
         .expect("has result");
     let islot = slot_index(&mut fb, ins);
-    fb.store(Ty::I32, Operand::imm(1), MemRef::global_at(g_flows, islot, 8));
+    fb.store(
+        Ty::I32,
+        Operand::imm(1),
+        MemRef::global_at(g_flows, islot, 8),
+    );
     send_ret(&mut fb, 0);
 
     // Established traffic must match a live pinhole.
@@ -453,7 +457,10 @@ mod tests {
         let hits = machine.state.load(GlobalId(1), 0, 0, 4);
         let misses = machine.state.load(GlobalId(2), 0, 0, 4);
         assert_eq!(hits + misses, 40);
-        assert!(hits > misses, "repeat queries should hit: {hits} vs {misses}");
+        assert!(
+            hits > misses,
+            "repeat queries should hit: {hits} vs {misses}"
+        );
     }
 
     #[test]

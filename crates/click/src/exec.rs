@@ -191,7 +191,10 @@ impl std::fmt::Display for TraceError {
                 write!(f, "api {api} called with {got} args (expects {want})")
             }
             TraceError::ApiArgOutOfRange { api, value, max } => {
-                write!(f, "api {api} argument {value} exceeds the ABI maximum {max}")
+                write!(
+                    f,
+                    "api {api} argument {value} exceeds the ABI maximum {max}"
+                )
             }
         }
     }
@@ -353,9 +356,7 @@ fn ref_exec(
                 Inst::Phi { dst, ty, incomings } => {
                     let pick = incomings.iter().find(|(bb, _)| *bb == prev);
                     Some(match pick {
-                        Some((_, op)) => ctx
-                            .fetch(*op)
-                            .map(|v| (dst.0, interp::mask(v, *ty))),
+                        Some((_, op)) => ctx.fetch(*op).map(|v| (dst.0, interp::mask(v, *ty))),
                         None => Ok((dst.0, 0)),
                     })
                 }

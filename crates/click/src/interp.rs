@@ -226,8 +226,7 @@ fn exec<S: EventSink>(
                 } => {
                     let a = read_op(env, *lhs)?;
                     let b = read_op(env, *rhs)?;
-                    env[dst.index()] =
-                        Some(u64::from(nf_ir::opt::eval_icmp(*pred, *ty, a, b)));
+                    env[dst.index()] = Some(u64::from(nf_ir::opt::eval_icmp(*pred, *ty, a, b)));
                 }
                 Inst::Cast {
                     dst,

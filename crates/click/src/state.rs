@@ -271,7 +271,8 @@ impl StateStore {
     /// True when the entry at `si` has outlived its idle or hard timeout
     /// at element-clock tick `now` (a zero timeout disables that check).
     fn flow_expired(s: &GlobalStorage, spec: FlowSpec, si: usize, now: u64) -> bool {
-        (spec.idle_timeout > 0 && now.saturating_sub(s.last_seen[si]) > u64::from(spec.idle_timeout))
+        (spec.idle_timeout > 0
+            && now.saturating_sub(s.last_seen[si]) > u64::from(spec.idle_timeout))
             || (spec.hard_timeout > 0
                 && now.saturating_sub(s.created[si]) > u64::from(spec.hard_timeout))
     }
@@ -280,7 +281,9 @@ impl StateStore {
     /// reclaimed later starts from zeroed state on every layer.
     fn flow_wipe(s: &mut GlobalStorage, si: usize) {
         let eb = s.entry_bytes as usize;
-        s.bytes[si * eb..(si + 1) * eb].iter_mut().for_each(|b| *b = 0);
+        s.bytes[si * eb..(si + 1) * eb]
+            .iter_mut()
+            .for_each(|b| *b = 0);
         s.occupied[si] = false;
         s.keys[si] = 0;
         s.last_seen[si] = 0;
@@ -290,8 +293,12 @@ impl StateStore {
 
     /// Walks the key's bucket, lazily expiring timed-out entries, and
     /// returns `(live key slot, first free slot, probes)`.
-    fn flow_probe(s: &mut GlobalStorage, spec: FlowSpec, key: u64, now: u64)
-        -> (Option<u64>, Option<u64>, u32) {
+    fn flow_probe(
+        s: &mut GlobalStorage,
+        spec: FlowSpec,
+        key: u64,
+        now: u64,
+    ) -> (Option<u64>, Option<u64>, u32) {
         let (start, end) = Self::bucket_range(s, key);
         let mut probes = 0;
         let mut free: Option<u64> = None;
@@ -319,16 +326,28 @@ impl StateStore {
     /// expiry is how flow tables age without a background sweeper.
     pub fn flow_lookup(&mut self, g: GlobalId, key: u64, now: u64) -> OpResult {
         let Some(s) = self.storage_mut(g) else {
-            return OpResult { slot: None, probes: 0, hit: false };
+            return OpResult {
+                slot: None,
+                probes: 0,
+                hit: false,
+            };
         };
         let Some(spec) = s.flow else {
-            return OpResult { slot: None, probes: 0, hit: false };
+            return OpResult {
+                slot: None,
+                probes: 0,
+                hit: false,
+            };
         };
         let (found, _, probes) = Self::flow_probe(s, spec, key, now);
         if let Some(slot) = found {
             s.last_seen[slot as usize] = now;
         }
-        OpResult { slot: found, probes, hit: found.is_some() }
+        OpResult {
+            slot: found,
+            probes,
+            hit: found.is_some(),
+        }
     }
 
     /// Flow-table insert-or-refresh: refreshes a live entry for the key,
@@ -336,15 +355,27 @@ impl StateStore {
     /// the table's [`EvictPolicy`]. Always lands the key somewhere.
     pub fn flow_upsert(&mut self, g: GlobalId, key: u64, now: u64) -> OpResult {
         let Some(s) = self.storage_mut(g) else {
-            return OpResult { slot: None, probes: 0, hit: false };
+            return OpResult {
+                slot: None,
+                probes: 0,
+                hit: false,
+            };
         };
         let Some(spec) = s.flow else {
-            return OpResult { slot: None, probes: 0, hit: false };
+            return OpResult {
+                slot: None,
+                probes: 0,
+                hit: false,
+            };
         };
         let (found, free, probes) = Self::flow_probe(s, spec, key, now);
         if let Some(slot) = found {
             s.last_seen[slot as usize] = now;
-            return OpResult { slot: Some(slot), probes, hit: true };
+            return OpResult {
+                slot: Some(slot),
+                probes,
+                hit: true,
+            };
         }
         let slot = match free {
             Some(slot) => slot,
@@ -377,32 +408,49 @@ impl StateStore {
         s.created[si] = now;
         s.count += 1;
         s.insertions += 1;
-        OpResult { slot: Some(slot), probes, hit: false }
+        OpResult {
+            slot: Some(slot),
+            probes,
+            hit: false,
+        }
     }
 
     /// Flow-table removal: tombstones the key's live entry, if any.
     pub fn flow_remove(&mut self, g: GlobalId, key: u64, now: u64) -> OpResult {
         let Some(s) = self.storage_mut(g) else {
-            return OpResult { slot: None, probes: 0, hit: false };
+            return OpResult {
+                slot: None,
+                probes: 0,
+                hit: false,
+            };
         };
         let Some(spec) = s.flow else {
-            return OpResult { slot: None, probes: 0, hit: false };
+            return OpResult {
+                slot: None,
+                probes: 0,
+                hit: false,
+            };
         };
         let (found, _, probes) = Self::flow_probe(s, spec, key, now);
         if let Some(slot) = found {
             Self::flow_wipe(s, slot as usize);
         }
-        OpResult { slot: found, probes, hit: found.is_some() }
+        OpResult {
+            slot: found,
+            probes,
+            hit: found.is_some(),
+        }
     }
 
     /// Lifetime churn counters of a flow table (zeroes for non-flow
     /// globals).
     pub fn flow_counters(&self, g: GlobalId) -> FlowCounters {
-        self.storage(g).map_or(FlowCounters::default(), |s| FlowCounters {
-            insertions: s.insertions,
-            evictions: s.evictions,
-            expirations: s.expirations,
-        })
+        self.storage(g)
+            .map_or(FlowCounters::default(), |s| FlowCounters {
+                insertions: s.insertions,
+                evictions: s.evictions,
+                expirations: s.expirations,
+            })
     }
 
     /// Vector element access: valid when `idx < len` and not tombstoned.
@@ -582,7 +630,12 @@ mod tests {
         assert_eq!(s.load(map, 0, 0, 4), 0);
     }
 
-    fn flow_store(idle: u32, hard: u32, evict: nf_ir::EvictPolicy, entries: u32) -> (StateStore, GlobalId) {
+    fn flow_store(
+        idle: u32,
+        hard: u32,
+        evict: nf_ir::EvictPolicy,
+        entries: u32,
+    ) -> (StateStore, GlobalId) {
         let mut m = Module::new("t");
         let t = m.add_flow_table(
             "flows",

@@ -92,7 +92,9 @@ pub fn crc_variant(rng: &mut StdRng) -> Module {
     if rng.gen_bool(0.33) {
         return crc_fold_variant(rng);
     }
-    let width: u32 = *[8u32, 16, 32].get(rng.gen_range(0usize..3)).expect("in range");
+    let width: u32 = *[8u32, 16, 32]
+        .get(rng.gen_range(0usize..3))
+        .expect("in range");
     let poly = i64::from(rng.gen_range(1u32..1 << (width - 1)) | 1);
     let reflected = rng.gen_bool(0.5);
     let step: u32 = if rng.gen_bool(0.3) { 4 } else { 1 }; // Nibble or bit serial.

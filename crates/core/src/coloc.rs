@@ -242,9 +242,8 @@ pub fn pair_interference(
     let solo_a = solve_perf(a, cfg, port, half);
     let solo_b = solve_perf(b, cfg, port, half);
     let pair = solve_colocated(&[a, b], cfg, &[port, port], &[half, half]);
-    let loss = |solo: f64, colocated: f64| {
-        ((1.0 - colocated / solo.max(1e-9)) * 100.0).clamp(0.0, 100.0)
-    };
+    let loss =
+        |solo: f64, colocated: f64| ((1.0 - colocated / solo.max(1e-9)) * 100.0).clamp(0.0, 100.0);
     PairInterference {
         a_loss_pct: loss(solo_a.throughput_mpps, pair[0].throughput_mpps),
         b_loss_pct: loss(solo_b.throughput_mpps, pair[1].throughput_mpps),

@@ -415,9 +415,7 @@ fn check_with(
             return Some(Divergence {
                 kind: DivergenceKind::RefVsInterp,
                 pkt: Some(i),
-                detail: format!(
-                    "packet outputs differ: verdict {verdict_a:?} vs {verdict_b:?}"
-                ),
+                detail: format!("packet outputs differ: verdict {verdict_a:?} vs {verdict_b:?}"),
             });
         }
 
@@ -514,11 +512,7 @@ fn check_with(
 /// and still diverge under the oracle before it replaces the current
 /// module. The trace is first truncated to the shortest prefix that
 /// still reproduces.
-pub fn shrink(
-    module: &Module,
-    trace: &Trace,
-    inject: Option<Injection>,
-) -> ShrinkOutcome {
+pub fn shrink(module: &Module, trace: &Trace, inject: Option<Injection>) -> ShrinkOutcome {
     let blocks_before = module.funcs[0].blocks.len();
     let insts_before: usize = module.funcs[0].blocks.iter().map(|b| b.insts.len()).sum();
     let mut checks = 0usize;
@@ -807,8 +801,9 @@ pub fn run(cfg: &DifftestConfig) -> Result<DifftestReport, ClaraError> {
         cfg.inject
     );
     let seeds: Vec<u64> = (cfg.start_seed..cfg.start_seed.saturating_add(cfg.seeds)).collect();
-    let outcome =
-        engine::try_par_map("difftest-sweep", &seeds, |_, &seed| check_seed(cfg, &backends, seed));
+    let outcome = engine::try_par_map("difftest-sweep", &seeds, |_, &seed| {
+        check_seed(cfg, &backends, seed)
+    });
     let engine_failures = outcome.failures.len();
     let mut checked = 0usize;
     let mut divergent = Vec::new();

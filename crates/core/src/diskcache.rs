@@ -257,7 +257,8 @@ fn parse_artifact<T: Deserialize>(
         ));
     }
     let v = serde_json::parse_value(body).map_err(|e| e.to_string())?;
-    let value = T::from_value(v.get("value").ok_or("missing `value`")?).map_err(|e| e.to_string())?;
+    let value =
+        T::from_value(v.get("value").ok_or("missing `value`")?).map_err(|e| e.to_string())?;
     let tel = telemetry_from_value(&v)?;
     Ok((value, tel))
 }
@@ -293,7 +294,12 @@ fn span_from_value(v: &Value) -> Result<obs::CapturedSpan, String> {
             .iter()
             .map(span_from_value)
             .collect::<Result<Vec<_>, _>>()?,
-        Some(other) => return Err(format!("span children: expected sequence, got {}", other.kind())),
+        Some(other) => {
+            return Err(format!(
+                "span children: expected sequence, got {}",
+                other.kind()
+            ))
+        }
         None => return Err("span missing `children`".to_string()),
     };
     Ok(obs::CapturedSpan {
@@ -345,7 +351,8 @@ mod tests {
     use super::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("clara-diskcache-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("clara-diskcache-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
     }

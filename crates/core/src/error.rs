@@ -175,7 +175,10 @@ impl fmt::Display for ClaraError {
             ClaraError::Io { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
-            ClaraError::Format { path: Some(p), detail } => {
+            ClaraError::Format {
+                path: Some(p),
+                detail,
+            } => {
                 write!(f, "{}: {detail}", p.display())
             }
             ClaraError::Format { path: None, detail } => write!(f, "{detail}"),
@@ -271,7 +274,10 @@ mod tests {
 
     #[test]
     fn exit_codes_are_distinct_and_documented() {
-        let degraded = ClaraError::Degraded { failed: 1, total: 4 };
+        let degraded = ClaraError::Degraded {
+            failed: 1,
+            total: 4,
+        };
         let corrupt = ClaraError::CacheCorrupt {
             path: PathBuf::from("x.clc"),
             detail: "checksum mismatch".into(),

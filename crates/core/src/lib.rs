@@ -67,15 +67,17 @@ pub use clara::{
     Clara, ClaraConfig, ClaraConfigBuilder, Insights, Prediction, MODEL_FORMAT_VERSION,
 };
 pub use coloc::{pair_interference, representative_profile, PairInterference};
-pub use nic_sim::{NicConfig, PortConfig, WorkloadProfile};
 pub use difftest::{DifftestConfig, DifftestReport, Divergence, DivergenceKind};
 pub use engine::{Engine, EngineOptions, EngineOptionsBuilder};
 pub use error::{ClaraError, PlacementFailure};
+pub use faults::{FaultKind, FaultPlan};
+pub use nic_sim::{NicConfig, PortConfig, WorkloadProfile};
 pub use placement::plan::{
     Objective, PlacementPlan, PlacementRequest, PlacementRequestBuilder, ReplaySummary,
 };
-pub use faults::{FaultKind, FaultPlan};
 pub use predict::{BlockSample, InstructionPredictor, PredictorKind};
 pub use prepare::{prepare_module, PreparedBlock, PreparedModule};
-pub use quantcheck::{QuantcheckConfig, QuantcheckReport, QUANT_ABS_TOLERANCE, QUANT_REL_TOLERANCE};
+pub use quantcheck::{
+    QuantcheckConfig, QuantcheckReport, QUANT_ABS_TOLERANCE, QUANT_REL_TOLERANCE,
+};
 pub use tinyml::quant::Precision;

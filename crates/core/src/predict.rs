@@ -359,7 +359,10 @@ impl InstructionPredictor {
         let pred = if self.uses_sequences() {
             reg.predict(RegressorInput::Tokens(&self.saved.vocab.encode(tokens)))
         } else {
-            reg.predict(RegressorInput::Features(&bag_of_tokens(&self.saved.vocab, tokens)))
+            reg.predict(RegressorInput::Features(&bag_of_tokens(
+                &self.saved.vocab,
+                tokens,
+            )))
         };
         pred.max(0.0)
     }
@@ -536,7 +539,11 @@ mod tests {
                 // DNN has a fixed-point twin; it must track the reference.
                 PredictorKind::Dnn => {
                     assert!(m.has_quantized());
-                    assert!((q - p).abs() <= 0.5f64.max(0.02 * p), "{}: {q} vs {p}", kind.name());
+                    assert!(
+                        (q - p).abs() <= 0.5f64.max(0.02 * p),
+                        "{}: {q} vs {p}",
+                        kind.name()
+                    );
                 }
                 // CNN/AutoML have none; Q16 falls back bit-exactly.
                 _ => {

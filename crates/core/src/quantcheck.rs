@@ -197,7 +197,13 @@ pub fn run(clara: &Clara, cfg: &QuantcheckConfig) -> Result<QuantcheckReport, Cl
             violations += 1;
             if first_violation.is_none() {
                 let (detail, artifact) = describe_violation(
-                    clara, cfg, e.name(), &prepared, worst, cores_f64, cores_q16,
+                    clara,
+                    cfg,
+                    e.name(),
+                    &prepared,
+                    worst,
+                    cores_f64,
+                    cores_q16,
                 )?;
                 first_violation = Some((detail, artifact));
             }

@@ -299,7 +299,9 @@ impl ScaleoutModel {
         precision: Precision,
     ) -> Result<u32, ClaraError> {
         let f = features_of(wp, cfg, port);
-        let raw = self.regressor(precision).predict(RegressorInput::Features(&f));
+        let raw = self
+            .regressor(precision)
+            .predict(RegressorInput::Features(&f));
         if !raw.is_finite() {
             return Err(ClaraError::Prediction {
                 detail: format!(

@@ -118,7 +118,10 @@ static BUILTINS: OnceLock<Vec<DeviceBackend>> = OnceLock::new();
 pub fn builtins() -> &'static [DeviceBackend] {
     BUILTINS.get_or_init(|| {
         [
-            ("builtin:agilio-cx", include_str!("../manifests/agilio-cx.toml")),
+            (
+                "builtin:agilio-cx",
+                include_str!("../manifests/agilio-cx.toml"),
+            ),
             (
                 "builtin:wimpy-onpath",
                 include_str!("../manifests/wimpy-onpath.toml"),
@@ -133,7 +136,9 @@ pub fn builtins() -> &'static [DeviceBackend] {
             ),
         ]
         .iter()
-        .map(|(origin, text)| DeviceBackend::parse(origin, text).expect("built-in manifest is valid"))
+        .map(|(origin, text)| {
+            DeviceBackend::parse(origin, text).expect("built-in manifest is valid")
+        })
         .collect()
     })
 }
@@ -207,6 +212,9 @@ mod tests {
         assert_eq!(agilio.levels, poor.levels);
         assert_ne!(agilio.libcall_overhead, poor.libcall_overhead);
         assert_ne!(agilio.csum_accel_cycles, poor.csum_accel_cycles);
-        assert_eq!(builtin("dpu-offpath").unwrap().manifest().class, DeviceClass::OffPath);
+        assert_eq!(
+            builtin("dpu-offpath").unwrap().manifest().class,
+            DeviceClass::OffPath
+        );
     }
 }

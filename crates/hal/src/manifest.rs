@@ -293,7 +293,12 @@ impl Cx<'_> {
     /// Resolves an accelerator row's optional `variant` key against the
     /// catalog: absent ⇒ the unit's default; present ⇒ must name a
     /// catalog entry of the matching unit.
-    fn variant_of(&self, t: &Table, parent: &str, unit: AccelUnit) -> Result<String, ManifestError> {
+    fn variant_of(
+        &self,
+        t: &Table,
+        parent: &str,
+        unit: AccelUnit,
+    ) -> Result<String, ManifestError> {
         let name = match t.get("variant") {
             None => return Ok(clara_accel::default_for(unit).name.to_string()),
             Some(Value::Str(s)) => s.clone(),
@@ -535,7 +540,9 @@ impl Manifest {
             match op.as_str() {
                 "checksum" => {
                     if checksum.is_some() {
-                        return Err(cx.err(join(&parent, "op"), "duplicate accelerator op `checksum`"));
+                        return Err(
+                            cx.err(join(&parent, "op"), "duplicate accelerator op `checksum`")
+                        );
                     }
                     checksum = Some(ChecksumAccel {
                         accel_cycles: cx.u32_of(row, &parent, "accel_cycles")?,
@@ -555,7 +562,9 @@ impl Manifest {
                 }
                 "lpm-cam" => {
                     if lpm.is_some() {
-                        return Err(cx.err(join(&parent, "op"), "duplicate accelerator op `lpm-cam`"));
+                        return Err(
+                            cx.err(join(&parent, "op"), "duplicate accelerator op `lpm-cam`")
+                        );
                     }
                     let entry = LpmCam {
                         hit_cycles: cx.u32_of(row, &parent, "hit_cycles")?,

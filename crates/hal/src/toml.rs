@@ -77,7 +77,11 @@ fn is_bare_key(s: &str) -> bool {
 
 /// Walks `path` from `root`, creating intermediate tables and descending
 /// into the last element of arrays-of-tables.
-fn navigate<'a>(root: &'a mut Table, path: &[String], line: usize) -> Result<&'a mut Table, ParseError> {
+fn navigate<'a>(
+    root: &'a mut Table,
+    path: &[String],
+    line: usize,
+) -> Result<&'a mut Table, ParseError> {
     let mut cur = root;
     for seg in path {
         let entry = cur
@@ -126,7 +130,10 @@ fn parse_scalar(raw: &str, line: usize) -> Result<Value, ParseError> {
                     Some('n') => out.push('\n'),
                     Some('t') => out.push('\t'),
                     other => {
-                        return Err(err(line, format!("unsupported string escape `\\{other:?}`")))
+                        return Err(err(
+                            line,
+                            format!("unsupported string escape `\\{other:?}`"),
+                        ))
                     }
                 },
                 Some(c) => out.push(c),
@@ -134,7 +141,10 @@ fn parse_scalar(raw: &str, line: usize) -> Result<Value, ParseError> {
         }
         let tail = chars.as_str().trim();
         if !tail.is_empty() && !tail.starts_with('#') {
-            return Err(err(line, format!("trailing characters after string: `{tail}`")));
+            return Err(err(
+                line,
+                format!("trailing characters after string: `{tail}`"),
+            ));
         }
         return Ok(Value::Str(out));
     }
@@ -193,7 +203,10 @@ pub fn parse(text: &str) -> Result<Table, ParseError> {
                 other => {
                     return Err(err(
                         line,
-                        format!("`{last}` is a {}, not an array of tables", other.type_name()),
+                        format!(
+                            "`{last}` is a {}, not an array of tables",
+                            other.type_name()
+                        ),
                     ))
                 }
             }

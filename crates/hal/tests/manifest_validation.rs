@@ -176,7 +176,10 @@ fn every_invalid_class_names_its_field_path() {
         // The Display form names both the origin and the field, so a
         // CLI user sees where to look without a debugger.
         let shown = err.to_string();
-        assert!(shown.contains("case.toml") && shown.contains(c.field), "{shown}");
+        assert!(
+            shown.contains("case.toml") && shown.contains(c.field),
+            "{shown}"
+        );
     }
 }
 
@@ -186,8 +189,7 @@ fn syntax_errors_surface_as_typed_errors_too() {
     assert_eq!(err.field, "(syntax)");
     assert!(err.detail.contains("line 1"), "{}", err.detail);
 
-    let err: ManifestError =
-        Manifest::load("/nonexistent/device.toml").expect_err("missing file");
+    let err: ManifestError = Manifest::load("/nonexistent/device.toml").expect_err("missing file");
     assert_eq!(err.field, "(io)");
 }
 
@@ -223,21 +225,24 @@ fn omitted_variants_resolve_to_catalog_defaults() {
     let b = DeviceBackend::parse("base.toml", BASE).expect("base is valid");
     assert_eq!(
         b.manifest().menu(),
-        [("checksum", "csum-fold16"), ("crc", "crc32-ieee"), ("lpm-cam", "lpm-w32")]
+        [
+            ("checksum", "csum-fold16"),
+            ("crc", "crc32-ieee"),
+            ("lpm-cam", "lpm-w32")
+        ]
     );
     for (_, v) in b.manifest().menu() {
-        assert_eq!(clara_accel::lookup(v).expect("catalog name").cycle_scale, 1.0);
+        assert_eq!(
+            clara_accel::lookup(v).expect("catalog name").cycle_scale,
+            1.0
+        );
     }
 }
 
 #[test]
 fn declared_variant_scales_the_lowered_costs() {
     let base = DeviceBackend::parse("base.toml", BASE).expect("valid");
-    let widened = BASE.replacen(
-        "op = \"crc\"",
-        "op = \"crc\"\nvariant = \"crc64-ecma\"",
-        1,
-    );
+    let widened = BASE.replacen("op = \"crc\"", "op = \"crc\"\nvariant = \"crc64-ecma\"", 1);
     let wide = DeviceBackend::parse("wide.toml", &widened).expect("valid");
     assert_eq!(wide.manifest().crc.variant, "crc64-ecma");
     // crc64-ecma doubles the per-iteration cost; everything else is

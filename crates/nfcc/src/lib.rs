@@ -177,9 +177,8 @@ impl Deserialize for NicInst {
         match name {
             "Alu" => {
                 let mnem: String = serde::from_field(payload, "mnem")?;
-                let mnem = intern_mnem(&mnem).ok_or_else(|| {
-                    serde::Error(format!("unknown ALU mnemonic `{mnem}`"))
-                })?;
+                let mnem = intern_mnem(&mnem)
+                    .ok_or_else(|| serde::Error(format!("unknown ALU mnemonic `{mnem}`")))?;
                 Ok(NicInst::Alu { mnem })
             }
             "AluShf" => Ok(NicInst::AluShf),
@@ -376,8 +375,7 @@ pub fn compile_function(func: &Function) -> NicFunction {
         vctr(&LOWER_NS, "nfcc.phase.lower_ns").add(t1.elapsed().as_nanos() as u64);
     }
     ctr(&BLOCKS, "nfcc.blocks_lowered").add(blocks.len() as u64);
-    ctr(&INSTRUCTIONS, "nfcc.instructions")
-        .add(blocks.iter().map(|b| b.insts.len() as u64).sum());
+    ctr(&INSTRUCTIONS, "nfcc.instructions").add(blocks.iter().map(|b| b.insts.len() as u64).sum());
     ctr(&ISSUE_CYCLES, "nfcc.issue_cycles")
         .add(blocks.iter().map(|b| u64::from(b.issue_cycles())).sum());
     NicFunction {
@@ -976,7 +974,9 @@ mod tests {
                             words: 1,
                             write: true,
                         },
-                        NicInst::LibCall { api: "map_lookup".into() },
+                        NicInst::LibCall {
+                            api: "map_lookup".into(),
+                        },
                         NicInst::Ctx,
                     ],
                 }],
@@ -984,7 +984,10 @@ mod tests {
         };
         let json = serde_json::to_string(&module).unwrap();
         let back: NicModule = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.funcs[0].blocks[0].insts, module.funcs[0].blocks[0].insts);
+        assert_eq!(
+            back.funcs[0].blocks[0].insts,
+            module.funcs[0].blocks[0].insts
+        );
         assert_eq!(back.name, module.name);
         assert_eq!(back.funcs[0].reg_slots, module.funcs[0].reg_slots);
         // Re-serializing reproduces the exact bytes (intern preserved).

@@ -193,8 +193,12 @@ mod tests {
             ("spec.name", |t| t.spec.name.push('x')),
             ("spec.flows", |t| t.spec.flows += 1),
             ("spec.flow_dist", |t| t.spec.flow_dist = FlowDist::Uniform),
-            ("spec.flow_dist.s", |t| t.spec.flow_dist = FlowDist::Zipf { s: 0.95 }),
-            ("spec.pkt_size", |t| t.spec.pkt_size = PktSizeDist::Fixed(64)),
+            ("spec.flow_dist.s", |t| {
+                t.spec.flow_dist = FlowDist::Zipf { s: 0.95 }
+            }),
+            ("spec.pkt_size", |t| {
+                t.spec.pkt_size = PktSizeDist::Fixed(64)
+            }),
             ("spec.pkt_size.small", |t| {
                 t.spec.pkt_size = PktSizeDist::Bimodal {
                     small: 65,
@@ -231,7 +235,11 @@ mod tests {
             ("pkt.flow.dst_port", |t| t.pkts[3].flow.dst_port ^= 1),
             ("pkt.flow.proto", |t| {
                 let p = &mut t.pkts[3].flow.proto;
-                *p = if *p == Proto::Tcp { Proto::Udp } else { Proto::Tcp };
+                *p = if *p == Proto::Tcp {
+                    Proto::Udp
+                } else {
+                    Proto::Tcp
+                };
             }),
             ("pkt.flow_id", |t| t.pkts[3].flow_id += 1),
             ("pkt.size", |t| t.pkts[3].size += 1),

@@ -20,7 +20,13 @@ fn profile(elem: usize, workload: usize, seed: u64) -> WorkloadProfile {
         _ => WorkloadSpec::imix(),
     };
     let trace = Trace::generate(&spec, 80, seed);
-    profile_workload(&e.module, &trace, &PortConfig::naive(), &NicConfig::default(), |_| {})
+    profile_workload(
+        &e.module,
+        &trace,
+        &PortConfig::naive(),
+        &NicConfig::default(),
+        |_| {},
+    )
 }
 
 proptest! {

@@ -53,7 +53,9 @@ pub use metrics::{
     Gauge, HistSummary, Histogram,
 };
 pub use report::{resolve_sink, sink_from_env, RunReport, SpanNode};
-pub use span::{attach, current, span, span_detail, span_under, ContextGuard, SpanGuard, SpanHandle};
+pub use span::{
+    attach, current, span, span_detail, span_under, ContextGuard, SpanGuard, SpanHandle,
+};
 
 /// Master switch for the allocation-bearing parts (spans, histograms).
 static ENABLED: AtomicBool = AtomicBool::new(false);

@@ -199,8 +199,16 @@ static COUNTERS: Registry<Arc<AtomicU64>> = OnceLock::new();
 static GAUGES: Registry<Arc<AtomicU64>> = OnceLock::new();
 static HISTOGRAMS: Registry<Arc<Mutex<Samples>>> = OnceLock::new();
 
-fn register<T: Clone>(reg: &Registry<T>, name: &str, volatile: bool, fresh: impl FnOnce() -> T) -> T {
-    let mut guard = reg.get_or_init(Mutex::default).lock().expect("registry poisoned");
+fn register<T: Clone>(
+    reg: &Registry<T>,
+    name: &str,
+    volatile: bool,
+    fresh: impl FnOnce() -> T,
+) -> T {
+    let mut guard = reg
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("registry poisoned");
     if let Some(r) = guard.get(name) {
         return r.cell.clone();
     }
@@ -288,7 +296,9 @@ pub(crate) fn reset_all() {
 
 /// Name-sorted `(name, value, volatile)` snapshot of all counters.
 pub(crate) fn counters_snapshot() -> Vec<(String, u64, bool)> {
-    let Some(m) = COUNTERS.get() else { return Vec::new() };
+    let Some(m) = COUNTERS.get() else {
+        return Vec::new();
+    };
     m.lock()
         .expect("registry poisoned")
         .iter()
@@ -298,18 +308,28 @@ pub(crate) fn counters_snapshot() -> Vec<(String, u64, bool)> {
 
 /// Name-sorted `(name, value, volatile)` snapshot of all gauges.
 pub(crate) fn gauges_snapshot() -> Vec<(String, f64, bool)> {
-    let Some(m) = GAUGES.get() else { return Vec::new() };
+    let Some(m) = GAUGES.get() else {
+        return Vec::new();
+    };
     m.lock()
         .expect("registry poisoned")
         .iter()
-        .map(|(k, r)| (k.clone(), f64::from_bits(r.cell.load(Ordering::Relaxed)), r.volatile))
+        .map(|(k, r)| {
+            (
+                k.clone(),
+                f64::from_bits(r.cell.load(Ordering::Relaxed)),
+                r.volatile,
+            )
+        })
         .collect()
 }
 
 /// Name-sorted `(name, summary, volatile)` snapshot of all non-empty
 /// histograms.
 pub(crate) fn histograms_snapshot() -> Vec<(String, HistSummary, bool)> {
-    let Some(m) = HISTOGRAMS.get() else { return Vec::new() };
+    let Some(m) = HISTOGRAMS.get() else {
+        return Vec::new();
+    };
     m.lock()
         .expect("registry poisoned")
         .iter()

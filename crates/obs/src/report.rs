@@ -89,7 +89,10 @@ impl RunReport {
 
     /// Looks up a counter value by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _, _)| n == name).map(|&(_, v, _)| v)
+        self.counters
+            .iter()
+            .find(|(n, _, _)| n == name)
+            .map(|&(_, v, _)| v)
     }
 
     /// Depth-first search across all root spans.

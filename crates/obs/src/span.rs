@@ -99,7 +99,10 @@ impl Drop for SpanGuard {
             return; // The record list was reset while this span was open.
         }
         let end = now_ns();
-        let mut spans = SPANS.get_or_init(Mutex::default).lock().expect("spans poisoned");
+        let mut spans = SPANS
+            .get_or_init(Mutex::default)
+            .lock()
+            .expect("spans poisoned");
         if let Some(rec) = spans.get_mut(self.id as usize - 1) {
             rec.end_ns = end;
         }
@@ -113,7 +116,10 @@ fn open(name: &str, detail: &str, parent: u64) -> SpanGuard {
     let start = now_ns();
     let gen = GENERATION.load(Ordering::SeqCst);
     let id = {
-        let mut spans = SPANS.get_or_init(Mutex::default).lock().expect("spans poisoned");
+        let mut spans = SPANS
+            .get_or_init(Mutex::default)
+            .lock()
+            .expect("spans poisoned");
         spans.push(SpanRec {
             name: name.to_string(),
             detail: detail.to_string(),
@@ -167,7 +173,10 @@ pub fn attach(parent: SpanHandle) -> ContextGuard {
 
 /// Drops every recorded span and invalidates outstanding guards.
 pub(crate) fn reset_spans() {
-    let mut spans = SPANS.get_or_init(Mutex::default).lock().expect("spans poisoned");
+    let mut spans = SPANS
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("spans poisoned");
     GENERATION.fetch_add(1, Ordering::SeqCst);
     spans.clear();
 }
@@ -182,7 +191,10 @@ pub(crate) fn reset_spans() {
 /// the subtree and are skipped.
 pub(crate) fn extract_subtree(root: u64) -> Option<crate::CapturedSpan> {
     use std::collections::{BTreeMap, BTreeSet};
-    let spans = SPANS.get_or_init(Mutex::default).lock().expect("spans poisoned");
+    let spans = SPANS
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("spans poisoned");
     let n = spans.len() as u64;
     if root == 0 || root > n {
         return None;
@@ -197,7 +209,11 @@ pub(crate) fn extract_subtree(root: u64) -> Option<crate::CapturedSpan> {
             kids.entry(rec.parent).or_default().push(id);
         }
     }
-    fn build(id: u64, spans: &[SpanRec], kids: &std::collections::BTreeMap<u64, Vec<u64>>) -> crate::CapturedSpan {
+    fn build(
+        id: u64,
+        spans: &[SpanRec],
+        kids: &std::collections::BTreeMap<u64, Vec<u64>>,
+    ) -> crate::CapturedSpan {
         let rec = &spans[(id - 1) as usize];
         crate::CapturedSpan {
             name: rec.name.clone(),
@@ -219,7 +235,10 @@ pub(crate) fn replay_subtree(parent: u64, node: &crate::CapturedSpan) {
         return;
     }
     let now = now_ns();
-    let mut spans = SPANS.get_or_init(Mutex::default).lock().expect("spans poisoned");
+    let mut spans = SPANS
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("spans poisoned");
     fn push(spans: &mut Vec<SpanRec>, parent: u64, node: &crate::CapturedSpan, now: u64) {
         spans.push(SpanRec {
             name: node.name.clone(),
@@ -238,7 +257,9 @@ pub(crate) fn replay_subtree(parent: u64, node: &crate::CapturedSpan) {
 
 /// Snapshot of the raw records (open spans get `end_ns = start_ns`).
 pub(crate) fn snapshot() -> Vec<SpanRec> {
-    let Some(m) = SPANS.get() else { return Vec::new() };
+    let Some(m) = SPANS.get() else {
+        return Vec::new();
+    };
     m.lock()
         .expect("spans poisoned")
         .iter()

@@ -259,7 +259,11 @@ enum BenchConn {
 
 impl BenchConn {
     /// Connects with retries (the daemon may still be starting up).
-    fn connect(transport: Transport, addr: &str, uds_path: Option<&str>) -> Result<BenchConn, ClaraError> {
+    fn connect(
+        transport: Transport,
+        addr: &str,
+        uds_path: Option<&str>,
+    ) -> Result<BenchConn, ClaraError> {
         let deadline = Instant::now() + Duration::from_secs(10);
         match transport {
             Transport::Tcp => loop {
@@ -285,9 +289,8 @@ impl BenchConn {
             },
             #[cfg(unix)]
             Transport::Uds => {
-                let path = uds_path.ok_or_else(|| {
-                    serve_err("the uds transport needs --uds <path>".to_string())
-                })?;
+                let path = uds_path
+                    .ok_or_else(|| serve_err("the uds transport needs --uds <path>".to_string()))?;
                 loop {
                     match UnixStream::connect(path) {
                         Ok(s) => {
@@ -303,9 +306,7 @@ impl BenchConn {
                             let _ = e;
                             std::thread::sleep(Duration::from_millis(100));
                         }
-                        Err(e) => {
-                            return Err(serve_err(format!("cannot connect to {path}: {e}")))
-                        }
+                        Err(e) => return Err(serve_err(format!("cannot connect to {path}: {e}"))),
                     }
                 }
             }
@@ -649,11 +650,7 @@ fn drain_phase(o: &BenchOptions) -> Result<(), ClaraError> {
 }
 
 /// Registers a tenant (NF set = the bench NF) and checks the ack.
-fn register_tenant(
-    o: &BenchOptions,
-    name: &str,
-    quota: Option<u64>,
-) -> Result<(), ClaraError> {
+fn register_tenant(o: &BenchOptions, name: &str, quota: Option<u64>) -> Result<(), ClaraError> {
     let mut conn = BenchConn::connect(o.transport, &o.addr, o.uds_path.as_deref())?;
     let line = protocol::render_request_as(
         None,

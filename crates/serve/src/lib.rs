@@ -52,6 +52,6 @@ pub mod transport;
 
 pub use client::{run_bench, BenchOptions, BenchSummary, FairnessReport, MatrixCell};
 pub use protocol::{RegisterSpec, Request, WorkSpec, PROTOCOL_VERSION};
-pub use server::{Server, ServerHandle, ServeOptions, ServeSummary};
+pub use server::{ServeOptions, ServeSummary, Server, ServerHandle};
 pub use tenant::{Registry, Tenant, TenantStats, DEFAULT_TENANT};
 pub use transport::Transport;

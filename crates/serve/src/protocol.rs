@@ -220,7 +220,10 @@ fn get_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
         None | Some(Value::Null) => Ok(None),
         Some(Value::Int(i)) if *i >= 0 => Ok(Some(*i as u64)),
         Some(Value::UInt(u)) => Ok(Some(*u)),
-        Some(other) => Err(format!("`{key}` must be a non-negative integer, got {}", other.kind())),
+        Some(other) => Err(format!(
+            "`{key}` must be a non-negative integer, got {}",
+            other.kind()
+        )),
     }
 }
 
@@ -236,9 +239,10 @@ fn get_str(v: &Value, key: &str) -> Result<Option<String>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(Value::Str(s)) if !s.is_empty() => Ok(Some(s.clone())),
-        Some(other) => {
-            Err(format!("`{key}` must be a non-empty string, got {}", other.kind()))
-        }
+        Some(other) => Err(format!(
+            "`{key}` must be a non-empty string, got {}",
+            other.kind()
+        )),
     }
 }
 
@@ -258,7 +262,12 @@ fn get_f64(v: &Value, key: &str) -> Result<Option<f64>, String> {
 fn work_spec(v: &Value) -> Result<WorkSpec, String> {
     let nf = match v.get("nf") {
         Some(Value::Str(s)) if !s.is_empty() => s.clone(),
-        Some(other) => return Err(format!("`nf` must be a non-empty string, got {}", other.kind())),
+        Some(other) => {
+            return Err(format!(
+                "`nf` must be a non-empty string, got {}",
+                other.kind()
+            ))
+        }
         None => return Err("missing `nf`".to_string()),
     };
     Ok(WorkSpec {
@@ -287,7 +296,10 @@ fn place_request(v: &Value) -> Result<PlacementRequest, String> {
             .collect::<Result<_, _>>()?,
         Some(Value::Seq(_)) => return Err("`nfs` must not be empty".to_string()),
         Some(other) => {
-            return Err(format!("`nfs` must be an array of strings, got {}", other.kind()))
+            return Err(format!(
+                "`nfs` must be an array of strings, got {}",
+                other.kind()
+            ))
         }
         None => return Err("missing `nfs`".to_string()),
     };
@@ -333,7 +345,10 @@ fn register_spec(v: &Value) -> Result<RegisterSpec, String> {
             })
             .collect::<Result<_, _>>()?,
         Some(other) => {
-            return Err(format!("`nfs` must be an array of strings, got {}", other.kind()))
+            return Err(format!(
+                "`nfs` must be an array of strings, got {}",
+                other.kind()
+            ))
         }
     };
     Ok(RegisterSpec {
@@ -455,7 +470,10 @@ pub fn render_request_as(id: Option<u64>, tenant: Option<&str>, req: &Request) -
                 m.push(("replay".to_string(), Value::Str(s.clone())));
             }
             m.push(("epochs".to_string(), Value::UInt(r.epochs as u64)));
-            m.push(("drift_threshold".to_string(), Value::Float(r.drift_threshold)));
+            m.push((
+                "drift_threshold".to_string(),
+                Value::Float(r.drift_threshold),
+            ));
         }
         Request::Difftest { seeds, start, pkts } => {
             m.push(op("difftest"));
@@ -527,7 +545,10 @@ pub fn predict_response(
         "predicted_compute".to_string(),
         Value::Float(p.predicted_compute),
     ));
-    m.push(("counted_mem".to_string(), Value::UInt(u64::from(p.counted_mem))));
+    m.push((
+        "counted_mem".to_string(),
+        Value::UInt(u64::from(p.counted_mem)),
+    ));
     m.push((
         "suggested_cores".to_string(),
         Value::UInt(u64::from(p.suggested_cores)),
@@ -555,7 +576,12 @@ pub fn analyze_response(
     ins: &Insights,
 ) -> String {
     let gname = |g: nf_ir::GlobalId| {
-        Value::Str(module.global(g).map_or("?", |d| d.name.as_str()).to_string())
+        Value::Str(
+            module
+                .global(g)
+                .map_or("?", |d| d.name.as_str())
+                .to_string(),
+        )
     };
     let mut m = head(id, true);
     m.push(("op".to_string(), Value::Str("analyze".to_string())));
@@ -585,12 +611,7 @@ pub fn analyze_response(
                 ("class".to_string(), Value::Str(class.name().to_string())),
                 (
                     "blocks".to_string(),
-                    Value::Seq(
-                        region
-                            .iter()
-                            .map(|b| Value::UInt(u64::from(b.0)))
-                            .collect(),
-                    ),
+                    Value::Seq(region.iter().map(|b| Value::UInt(u64::from(b.0))).collect()),
                 ),
             ]),
         },
@@ -604,9 +625,7 @@ pub fn analyze_response(
         Value::Seq(
             ins.placement
                 .iter()
-                .map(|(&g, l)| {
-                    Value::Seq(vec![gname(g), Value::Str(l.name().to_string())])
-                })
+                .map(|(&g, l)| Value::Seq(vec![gname(g), Value::Str(l.name().to_string())]))
                 .collect(),
         ),
     ));
@@ -632,9 +651,7 @@ pub fn place_response(id: Option<u64>, plan: &PlacementPlan) -> String {
         Value::Seq(
             pairs
                 .iter()
-                .map(|(g, l)| {
-                    Value::Seq(vec![Value::Str(g.clone()), Value::Str(l.clone())])
-                })
+                .map(|(g, l)| Value::Seq(vec![Value::Str(g.clone()), Value::Str(l.clone())]))
                 .collect(),
         )
     };
@@ -704,7 +721,10 @@ pub fn place_response(id: Option<u64>, plan: &PlacementPlan) -> String {
                 "throughput_mpps".to_string(),
                 Value::Float(plan.split.throughput_mpps),
             ),
-            ("latency_us".to_string(), Value::Float(plan.split.latency_us)),
+            (
+                "latency_us".to_string(),
+                Value::Float(plan.split.latency_us),
+            ),
             (
                 "host_cores_needed".to_string(),
                 Value::UInt(u64::from(plan.split.host_cores_needed)),
@@ -738,10 +758,7 @@ pub fn place_response(id: Option<u64>, plan: &PlacementPlan) -> String {
                     "migration_bytes".to_string(),
                     Value::UInt(r.migration_bytes),
                 ),
-                (
-                    "predicted_gain".to_string(),
-                    Value::Float(r.predicted_gain),
-                ),
+                ("predicted_gain".to_string(), Value::Float(r.predicted_gain)),
                 (
                     "epochs".to_string(),
                     Value::Seq(
@@ -750,10 +767,7 @@ pub fn place_response(id: Option<u64>, plan: &PlacementPlan) -> String {
                             .map(|ep| {
                                 Value::Map(vec![
                                     ("epoch".to_string(), Value::UInt(ep.epoch as u64)),
-                                    (
-                                        "workload".to_string(),
-                                        Value::Str(ep.workload.clone()),
-                                    ),
+                                    ("workload".to_string(), Value::Str(ep.workload.clone())),
                                     ("drift".to_string(), Value::Float(ep.drift)),
                                     ("resolved".to_string(), Value::Bool(ep.resolved)),
                                     (
@@ -888,20 +902,28 @@ mod tests {
             })
         );
         assert_eq!(env.id, None);
-        assert!(parse_request(r#"{"v":1,"op":"predict","nf":"x","backend":7}"#)
-            .unwrap_err()
-            .contains("`backend`"));
+        assert!(
+            parse_request(r#"{"v":1,"op":"predict","nf":"x","backend":7}"#)
+                .unwrap_err()
+                .contains("`backend`")
+        );
         let env = parse_request(r#"{"v":1,"op":"predict","nf":"lb","precision":"q16"}"#)
             .expect("explicit precision parses");
         match env.req {
             Request::Predict(w) => assert_eq!(w.precision, Some(Precision::Q16)),
             other => panic!("unexpected request {other:?}"),
         }
-        assert!(parse_request(r#"{"v":1,"op":"predict","nf":"lb","precision":"fp8"}"#)
+        assert!(
+            parse_request(r#"{"v":1,"op":"predict","nf":"lb","precision":"fp8"}"#)
+                .unwrap_err()
+                .contains("unknown precision")
+        );
+        assert!(parse_request("not json")
             .unwrap_err()
-            .contains("unknown precision"));
-        assert!(parse_request("not json").unwrap_err().contains("invalid JSON"));
-        assert!(parse_request(r#"{"op":"stats"}"#).unwrap_err().contains("version"));
+            .contains("invalid JSON"));
+        assert!(parse_request(r#"{"op":"stats"}"#)
+            .unwrap_err()
+            .contains("version"));
         assert!(parse_request(r#"{"v":2,"op":"stats"}"#)
             .unwrap_err()
             .contains("unsupported protocol version"));
@@ -911,9 +933,11 @@ mod tests {
         assert!(parse_request(r#"{"v":1,"op":"predict"}"#)
             .unwrap_err()
             .contains("missing `nf`"));
-        assert!(parse_request(r#"{"v":1,"op":"predict","nf":"x","packets":"many"}"#)
-            .unwrap_err()
-            .contains("`packets`"));
+        assert!(
+            parse_request(r#"{"v":1,"op":"predict","nf":"x","packets":"many"}"#)
+                .unwrap_err()
+                .contains("`packets`")
+        );
     }
 
     #[test]
@@ -975,15 +999,21 @@ mod tests {
         // Tenantless lines resolve to no tenant (the server's `default`).
         let env = parse_request(r#"{"v":1,"op":"stats"}"#).expect("parses");
         assert_eq!(env.tenant, None);
-        assert!(parse_request(r#"{"v":1,"op":"predict","nf":"x","tenant":7}"#)
-            .unwrap_err()
-            .contains("`tenant`"));
-        assert!(parse_request(r#"{"v":1,"op":"register","tenant":"a","nfs":"x"}"#)
-            .unwrap_err()
-            .contains("`nfs`"));
-        assert!(parse_request(r#"{"v":1,"op":"register","tenant":"a","quota":"big"}"#)
-            .unwrap_err()
-            .contains("`quota`"));
+        assert!(
+            parse_request(r#"{"v":1,"op":"predict","nf":"x","tenant":7}"#)
+                .unwrap_err()
+                .contains("`tenant`")
+        );
+        assert!(
+            parse_request(r#"{"v":1,"op":"register","tenant":"a","nfs":"x"}"#)
+                .unwrap_err()
+                .contains("`nfs`")
+        );
+        assert!(
+            parse_request(r#"{"v":1,"op":"register","tenant":"a","quota":"big"}"#)
+                .unwrap_err()
+                .contains("`quota`")
+        );
     }
 
     #[test]

@@ -275,7 +275,9 @@ impl Shared {
 
     /// The backend name a spec effectively runs under (for coalescing).
     fn effective_backend<'a>(&self, w: &'a WorkSpec) -> &'a str {
-        w.backend.as_deref().unwrap_or_else(|| self.backends[0].name())
+        w.backend
+            .as_deref()
+            .unwrap_or_else(|| self.backends[0].name())
     }
 
     /// The precision a spec effectively runs at: its own request field,
@@ -375,9 +377,11 @@ impl Server {
         let addr = listener.local_addr().map_err(|e| ClaraError::Serve {
             detail: format!("cannot read bound address: {e}"),
         })?;
-        listener.set_nonblocking(true).map_err(|e| ClaraError::Serve {
-            detail: format!("cannot set nonblocking accept: {e}"),
-        })?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| ClaraError::Serve {
+                detail: format!("cannot set nonblocking accept: {e}"),
+            })?;
         #[cfg(unix)]
         let uds_listener = match &opts.uds_path {
             Some(path) => Some(bind_uds(path)?),
@@ -475,9 +479,11 @@ fn bind_uds(path: &str) -> Result<UnixListener, ClaraError> {
     let listener = UnixListener::bind(path).map_err(|e| ClaraError::Serve {
         detail: format!("cannot bind unix socket {path}: {e}"),
     })?;
-    listener.set_nonblocking(true).map_err(|e| ClaraError::Serve {
-        detail: format!("cannot set nonblocking UDS accept: {e}"),
-    })?;
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| ClaraError::Serve {
+            detail: format!("cannot set nonblocking UDS accept: {e}"),
+        })?;
     Ok(listener)
 }
 
@@ -726,7 +732,10 @@ fn handle_line(line: &str, s: &Arc<Shared>) -> (String, bool) {
             // Parse failures have no attributable tenant; they count
             // against `default` so totals still reconcile.
             s.count_error(&s.registry.default_tenant());
-            return (protocol::error_response(None, ErrorKind::BadRequest, &detail), false);
+            return (
+                protocol::error_response(None, ErrorKind::BadRequest, &detail),
+                false,
+            );
         }
     };
     let op = op_index(&env.req);
@@ -799,7 +808,10 @@ fn dispatch_work(id: Option<u64>, t: Arc<Tenant>, req: Request, s: &Arc<Shared>)
             protocol::error_response(
                 id,
                 ErrorKind::UnknownNf,
-                &format!("`{}` is not in tenant `{}`'s registered NF set", w.nf, t.name),
+                &format!(
+                    "`{}` is not in tenant `{}`'s registered NF set",
+                    w.nf, t.name
+                ),
             )
         }
         Request::Predict(w) | Request::Analyze(w) if s.backend_of(&w).is_none() => {
@@ -838,7 +850,10 @@ fn dispatch_work(id: Option<u64>, t: Arc<Tenant>, req: Request, s: &Arc<Shared>)
             protocol::error_response(
                 id,
                 ErrorKind::UnknownNf,
-                &format!("`{outside}` is not in tenant `{}`'s registered NF set", t.name),
+                &format!(
+                    "`{outside}` is not in tenant `{}`'s registered NF set",
+                    t.name
+                ),
             )
         }
         Request::Place(r)
@@ -919,7 +934,12 @@ fn answer_hit(id: Option<u64>, t: &Tenant, key: &PredictKey, p: &Prediction, s: 
     response
 }
 
-fn enqueue_and_wait(id: Option<u64>, tenant: Arc<Tenant>, kind: JobKind, s: &Arc<Shared>) -> String {
+fn enqueue_and_wait(
+    id: Option<u64>,
+    tenant: Arc<Tenant>,
+    kind: JobKind,
+    s: &Arc<Shared>,
+) -> String {
     let (tx, rx) = mpsc::channel();
     {
         let mut qs = s.queue.lock().expect("queue poisoned");
@@ -960,7 +980,10 @@ fn enqueue_and_wait(id: Option<u64>, tenant: Arc<Tenant>, kind: JobKind, s: &Arc
             return protocol::error_response(
                 id,
                 ErrorKind::QuotaExceeded,
-                &format!("tenant `{}` is at its quota ({})", tenant.name, tenant.quota),
+                &format!(
+                    "tenant `{}` is at its quota ({})",
+                    tenant.name, tenant.quota
+                ),
             );
         }
         let was_empty = tq.jobs.is_empty();
@@ -1029,7 +1052,10 @@ fn register_inline(
             return protocol::error_response(
                 id,
                 ErrorKind::UnknownBackend,
-                &format!("`{b}` is not a warm backend (loaded: {})", loaded.join(", ")),
+                &format!(
+                    "`{b}` is not a warm backend (loaded: {})",
+                    loaded.join(", ")
+                ),
             );
         }
     }
@@ -1060,10 +1086,8 @@ fn register_inline(
 /// deterministic reports.
 fn publish_coloc_gauges(s: &Arc<Shared>) {
     for p in s.registry.coloc_pairs(&s.nic) {
-        obs::gauge(&format!("serve.coloc.{}~{}.loss_pct", p.a, p.b))
-            .set(p.interference.a_loss_pct);
-        obs::gauge(&format!("serve.coloc.{}~{}.loss_pct", p.b, p.a))
-            .set(p.interference.b_loss_pct);
+        obs::gauge(&format!("serve.coloc.{}~{}.loss_pct", p.a, p.b)).set(p.interference.a_loss_pct);
+        obs::gauge(&format!("serve.coloc.{}~{}.loss_pct", p.b, p.a)).set(p.interference.b_loss_pct);
     }
 }
 
@@ -1107,8 +1131,14 @@ fn stats_inline(id: Option<u64>, s: &Arc<Shared>) -> String {
             Value::Map(vec![
                 ("a".to_string(), Value::Str(p.a.clone())),
                 ("b".to_string(), Value::Str(p.b.clone())),
-                ("a_loss_pct".to_string(), Value::Float(p.interference.a_loss_pct)),
-                ("b_loss_pct".to_string(), Value::Float(p.interference.b_loss_pct)),
+                (
+                    "a_loss_pct".to_string(),
+                    Value::Float(p.interference.a_loss_pct),
+                ),
+                (
+                    "b_loss_pct".to_string(),
+                    Value::Float(p.interference.b_loss_pct),
+                ),
             ])
         })
         .collect();
@@ -1187,8 +1217,7 @@ fn drain_inline(id: Option<u64>, s: &Arc<Shared>) -> String {
     // span is still open is well-defined; the deterministic rendering
     // strips timestamps anyway.
     let report_json = obs::RunReport::capture().to_json_deterministic();
-    let report = serde_json::parse_value(&report_json)
-        .unwrap_or(Value::Str(report_json));
+    let report = serde_json::parse_value(&report_json).unwrap_or(Value::Str(report_json));
     // The connection thread sets `stopped` once this reply is written;
     // setting it here would let the daemon exit mid-write.
     protocol::drain_response(id, served, report)
@@ -1270,11 +1299,10 @@ fn worker_loop(s: &Arc<Shared>, worker: usize) {
                 if let Some(batch) = pop_batch(&mut qs, worker, s) {
                     break batch;
                 }
-                qs = s
-                    .cv
-                    .wait_timeout(qs, Duration::from_millis(50))
-                    .expect("queue poisoned")
-                    .0;
+                qs =
+                    s.cv.wait_timeout(qs, Duration::from_millis(50))
+                        .expect("queue poisoned")
+                        .0;
             };
             s.in_flight.fetch_add(batch.len(), Ordering::SeqCst);
             s.queue_gauge(qs.total);

@@ -133,7 +133,8 @@ impl Registry {
 
     /// The always-present default tenant.
     pub fn default_tenant(&self) -> Arc<Tenant> {
-        self.resolve(None).expect("default tenant is always present")
+        self.resolve(None)
+            .expect("default tenant is always present")
     }
 
     /// Registers (or re-registers) a tenant. The shard pin and lifetime
@@ -254,8 +255,22 @@ mod tests {
                 .module;
             clara_core::representative_profile(&[&module], &nic)
         };
-        reg.register("a", vec!["cmsketch".into()], None, None, 4, profile_of("cmsketch"));
-        reg.register("b", vec!["iplookup".into()], None, None, 4, profile_of("iplookup"));
+        reg.register(
+            "a",
+            vec!["cmsketch".into()],
+            None,
+            None,
+            4,
+            profile_of("cmsketch"),
+        );
+        reg.register(
+            "b",
+            vec!["iplookup".into()],
+            None,
+            None,
+            4,
+            profile_of("iplookup"),
+        );
         reg.register("noprofile", vec![], None, None, 4, None);
         let pairs = reg.coloc_pairs(&nic);
         assert_eq!(pairs.len(), 1, "one profiled pair");

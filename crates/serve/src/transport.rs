@@ -203,7 +203,10 @@ mod tests {
             read_frame(&mut r, &mut buf).expect("read").as_deref(),
             Some("{\"v\":1,\"op\":\"stats\"}")
         );
-        assert_eq!(read_frame(&mut r, &mut buf).expect("read").as_deref(), Some(""));
+        assert_eq!(
+            read_frame(&mut r, &mut buf).expect("read").as_deref(),
+            Some("")
+        );
         assert_eq!(
             read_frame(&mut r, &mut buf).expect("read").as_deref(),
             Some("π frames are UTF-8")

@@ -606,7 +606,10 @@ impl GenCtx {
             }
         }
         // Materialize a value of the right type from packet data.
-        let v = fb.load(ty, MemRef::pkt(PktField::Payload(rng.gen_range(0u16..16) * 4)));
+        let v = fb.load(
+            ty,
+            MemRef::pkt(PktField::Payload(rng.gen_range(0u16..16) * 4)),
+        );
         self.put(ty, v);
         v
     }
@@ -671,8 +674,10 @@ pub fn synth_corpus(n: usize, guided: bool, seed: u64) -> Vec<Module> {
 /// declared hardware. Unknown menu names are skipped; an effectively
 /// empty menu yields plain guided synthesis.
 pub fn synth_for_menu(menu: &[&str], n: usize, seed: u64) -> Vec<Module> {
-    let variants: Vec<&clara_accel::Variant> =
-        menu.iter().filter_map(|name| clara_accel::lookup(name)).collect();
+    let variants: Vec<&clara_accel::Variant> = menu
+        .iter()
+        .filter_map(|name| clara_accel::lookup(name))
+        .collect();
     let mut out = synth_corpus(n, true, seed);
     for (i, m) in out.iter_mut().enumerate() {
         let Some(v) = variants.get(i % variants.len().max(1)) else {

@@ -160,7 +160,11 @@ impl Schedule {
     /// one phase replay identically (see the module docs).
     pub fn epoch_trace(&self, epoch: usize, packets: usize, seed: u64) -> Option<Trace> {
         let (phase, spec) = self.phase_of(epoch)?;
-        Some(Trace::generate(spec, packets, seed.wrapping_add(phase as u64)))
+        Some(Trace::generate(
+            spec,
+            packets,
+            seed.wrapping_add(phase as u64),
+        ))
     }
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: release build, test suite, zero clippy warnings, zero
-# rustdoc warnings, plus a quick instrumented bench run that leaves a
-# BENCH_train_timing.json run report behind as a build artifact.
+# Tier-1 CI gate: release build, test suite, rustfmt-clean sources, zero
+# clippy warnings, zero rustdoc warnings, plus a quick instrumented bench
+# run that leaves a BENCH_train_timing.json run report behind as a build
+# artifact.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,6 +17,7 @@ cargo test --release -q -p tinyml
 # run does not build it: a change that breaks its build or its unit tests
 # fails here rather than at benchmark time.
 cargo test -q --manifest-path clara-perf/Cargo.toml
+cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

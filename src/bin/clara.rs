@@ -25,9 +25,9 @@
 use clara_repro::clara::{Clara, ClaraConfig, ClaraError, Precision};
 use clara_repro::click::NfElement;
 use clara_repro::hal::{self, Backend as _, DeviceBackend};
-use clara_repro::serve;
 use clara_repro::nicsim::{self, PortConfig};
 use clara_repro::obs;
+use clara_repro::serve;
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
 fn pool() -> Vec<NfElement> {
@@ -395,8 +395,7 @@ fn run() -> Result<(), ClaraError> {
             // The analysis already profiled the NF under the naive port on
             // this device: re-solving that profile needs no second run.
             let naive = nicsim::solve_perf(&insights.profile, nic, &PortConfig::naive(), cores);
-            let tuned =
-                nicsim::simulate(&e.module, &trace, &insights.port_config(), nic, cores);
+            let tuned = nicsim::simulate(&e.module, &trace, &insights.port_config(), nic, cores);
             println!(
                 "at {cores} cores: naive {:.2} Mpps / {:.2} us -> Clara {:.2} Mpps / {:.2} us",
                 naive.throughput_mpps, naive.latency_us, tuned.throughput_mpps, tuned.latency_us
@@ -435,9 +434,7 @@ fn run() -> Result<(), ClaraError> {
             let engine = clara_repro::clara::engine::Engine::new();
             match engine.verify_disk_cache()? {
                 None => {
-                    eprintln!(
-                        "no persistent cache configured; set CLARA_CACHE_DIR to enable one"
-                    );
+                    eprintln!("no persistent cache configured; set CLARA_CACHE_DIR to enable one");
                 }
                 Some(summary) => {
                     println!(
@@ -469,7 +466,10 @@ fn resolve_backend(name: &str) -> Result<&'static DeviceBackend, ClaraError> {
 /// (validated later, at resolution).
 fn backend_list(arg: &str) -> Vec<String> {
     if arg == "all" {
-        hal::builtin_names().iter().map(|s| (*s).to_string()).collect()
+        hal::builtin_names()
+            .iter()
+            .map(|s| (*s).to_string())
+            .collect()
     } else {
         arg.split(',')
             .filter(|s| !s.is_empty())
@@ -552,7 +552,9 @@ fn serve_cmd(args: &[String]) -> Result<(), ClaraError> {
     let mut want_uds = false;
     let mut it = args.iter();
     let num = |it: &mut std::slice::Iter<String>| -> u64 {
-        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+        it.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage())
     };
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -569,9 +571,7 @@ fn serve_cmd(args: &[String]) -> Result<(), ClaraError> {
             "--workers" => so.workers = num(&mut it) as usize,
             "--queue-cap" => so.queue_cap = num(&mut it) as usize,
             "--batch-max" => so.batch_max = num(&mut it) as usize,
-            "--deadline-ms" => {
-                so.deadline = Some(std::time::Duration::from_millis(num(&mut it)))
-            }
+            "--deadline-ms" => so.deadline = Some(std::time::Duration::from_millis(num(&mut it))),
             "--model" => model = it.next().cloned().or_else(|| usage()),
             "--seed" => seed = num(&mut it),
             "--backends" => {
@@ -612,7 +612,9 @@ fn bench_serve_cmd(args: &[String]) -> Result<(), ClaraError> {
     let mut bo = BenchOptions::default();
     let mut it = args.iter();
     let num = |it: &mut std::slice::Iter<String>| -> u64 {
-        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+        it.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage())
     };
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -712,7 +714,9 @@ fn place_cmd(args: &[String]) -> Result<(), ClaraError> {
     let mut seed = 42u64;
     let mut it = opt_args.iter();
     let num = |it: &mut std::slice::Iter<String>| -> u64 {
-        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+        it.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage())
     };
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -726,9 +730,7 @@ fn place_cmd(args: &[String]) -> Result<(), ClaraError> {
             "--precision" => b = b.precision(parse_precision(it.next())),
             "--objective" => {
                 let o = it.next().unwrap_or_else(|| usage());
-                b = b.objective(
-                    clara_repro::clara::Objective::parse(o).unwrap_or_else(|| usage()),
-                );
+                b = b.objective(clara_repro::clara::Objective::parse(o).unwrap_or_else(|| usage()));
             }
             "--replay" => b = b.replay(it.next().cloned().unwrap_or_else(|| usage())),
             "--epochs" => b = b.epochs(num(&mut it) as usize),
@@ -782,7 +784,9 @@ fn quantcheck_cmd(args: &[String]) -> Result<(), ClaraError> {
     let mut seed = 42u64;
     let mut it = args.iter();
     let num = |it: &mut std::slice::Iter<String>| -> u64 {
-        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+        it.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage())
     };
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -835,7 +839,9 @@ fn difftest_cmd(args: &[String]) -> Result<(), ClaraError> {
     let report = obs::sink_from_env();
     let mut it = args.iter();
     let num = |it: &mut std::slice::Iter<String>| -> u64 {
-        it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+        it.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| usage())
     };
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -890,7 +896,10 @@ fn difftest_cmd(args: &[String]) -> Result<(), ClaraError> {
                 })
             }
             None => {
-                println!("{path}: no divergence over {} packets (seed {seed})", cfg.pkts);
+                println!(
+                    "{path}: no divergence over {} packets (seed {seed})",
+                    cfg.pkts
+                );
                 Ok(())
             }
         }
@@ -932,7 +941,10 @@ fn difftest_cmd(args: &[String]) -> Result<(), ClaraError> {
         let path = obs::resolve_sink(raw, "clara_difftest.json");
         match obs::RunReport::capture().write(&path) {
             Ok(()) => eprintln!("run report written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write run report to {}: {e}", path.display()),
+            Err(e) => eprintln!(
+                "warning: could not write run report to {}: {e}",
+                path.display()
+            ),
         }
     }
     result

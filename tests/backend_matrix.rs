@@ -160,8 +160,14 @@ fn cross_device_matrix_matches_golden() {
             let port = insights.port_config();
             let wp =
                 clara_repro::nicsim::profile_workload(&e.module, &trace, &port, b.nic(), |_| {});
-            writeln!(out, "ported {} {} cycles={:.3}", e.name(), b.name(), wp.compute)
-                .expect("write to string");
+            writeln!(
+                out,
+                "ported {} {} cycles={:.3}",
+                e.name(),
+                b.name(),
+                wp.compute
+            )
+            .expect("write to string");
         }
     }
     check_golden("backend_matrix.txt", &out);
@@ -204,7 +210,10 @@ fn dpu_crc_variant_delta_is_attributable_to_the_catalog() {
         .join("\n");
     let base = hal::DeviceBackend::parse("dpu-default-crc.toml", &stripped).expect("valid");
     assert_eq!(base.manifest().crc.variant, "crc32-ieee");
-    assert_eq!(dpu.nic().crc_accel_per_iter, 2.0 * base.nic().crc_accel_per_iter);
+    assert_eq!(
+        dpu.nic().crc_accel_per_iter,
+        2.0 * base.nic().crc_accel_per_iter
+    );
 
     // Profile the ported NF under both lowered configs: identical except
     // for the CRC engine's per-iteration cost, so the compute delta is
@@ -378,7 +387,14 @@ fn cli_analyze_one_shot_matches_golden() {
 fn cli_unknown_backend_exits_8() {
     let _g = obs_lock();
     for cmd in ["analyze", "predict"] {
-        let args = [cmd, "cmsketch", "--backend", "no-such-device", "--packets", "200"];
+        let args = [
+            cmd,
+            "cmsketch",
+            "--backend",
+            "no-such-device",
+            "--packets",
+            "200",
+        ];
         let out = clara_cli(&args);
         assert_eq!(
             out.status.code(),

@@ -88,7 +88,10 @@ fn warm_cache_run_recomputes_nothing_and_reports_identically() {
         warm_after.disk_hits > warm_before.disk_hits,
         "warm run must serve from disk"
     );
-    assert_eq!(cold_profiles, warm_profiles, "profiles must be bit-identical");
+    assert_eq!(
+        cold_profiles, warm_profiles,
+        "profiles must be bit-identical"
+    );
     assert_eq!(
         cold_report, warm_report,
         "deterministic run report must be byte-identical cold vs warm"
@@ -143,7 +146,10 @@ fn disk_cache_isolates_backends() {
     // consumed an agilio-cx profile.
     let (wimpy_cold, hits, recomputes) = run(wimpy);
     assert_eq!(hits, n, "only the device-independent compiles may hit");
-    assert_eq!(recomputes, n, "every profile is recomputed for the new device");
+    assert_eq!(
+        recomputes, n,
+        "every profile is recomputed for the new device"
+    );
 
     // Warm re-runs per backend: all hits, no recomputes, bit-identical.
     let (agilio_warm, hits, recomputes) = run(agilio);
@@ -152,7 +158,11 @@ fn disk_cache_isolates_backends() {
     assert_eq!(agilio_cold, agilio_warm, "agilio-cx cold vs warm diverged");
 
     let (wimpy_warm, hits, recomputes) = run(wimpy);
-    assert_eq!(hits, 2 * n, "wimpy-onpath compiles and profiles served warm");
+    assert_eq!(
+        hits,
+        2 * n,
+        "wimpy-onpath compiles and profiles served warm"
+    );
     assert_eq!(recomputes, 0, "warm wimpy-onpath run recomputes nothing");
     assert_eq!(wimpy_cold, wimpy_warm, "wimpy-onpath cold vs warm diverged");
 
@@ -261,7 +271,10 @@ fn clara_cache_dir_env_override_reaches_the_engine() {
         .map(|d| d.filter_map(Result::ok).count())
         .unwrap_or(0);
     std::env::remove_var("CLARA_CACHE_DIR");
-    assert!(stored > 0, "CLARA_CACHE_DIR alone must enable the disk cache");
+    assert!(
+        stored > 0,
+        "CLARA_CACHE_DIR alone must enable the disk cache"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

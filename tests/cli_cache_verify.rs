@@ -78,7 +78,10 @@ fn corrupt_artifact_exits_four_and_is_named_loudly() {
         Some(0),
         "healthy cache must verify clean (stdout: {stdout})"
     );
-    assert!(stdout.contains("0 corrupt"), "clean summary expected: {stdout}");
+    assert!(
+        stdout.contains("0 corrupt"),
+        "clean summary expected: {stdout}"
+    );
 
     // Flip one byte in one artifact's body; the header checksum now
     // disagrees with the content.
@@ -112,7 +115,8 @@ fn corrupt_artifact_exits_four_and_is_named_loudly() {
         "scan summary must count the damage: {stdout}"
     );
     assert!(
-        stderr.contains("corrupt:") && stderr.contains(victim.file_name().unwrap().to_str().unwrap()),
+        stderr.contains("corrupt:")
+            && stderr.contains(victim.file_name().unwrap().to_str().unwrap()),
         "the corrupt artifact must be named on stderr: {stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();

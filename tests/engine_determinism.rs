@@ -181,7 +181,11 @@ fn faulted_training_within_retry_budget_is_bit_identical_to_fault_free() {
     };
     // depth 2 ≤ retries 2: every selected task faults twice, then its
     // third attempt succeeds — nothing fails permanently.
-    let plan = { let mut p = FaultPlan::new(61, 0.35); p.depth = 2; p };
+    let plan = {
+        let mut p = FaultPlan::new(61, 0.35);
+        p.depth = 2;
+        p
+    };
     let faulted_opts = EngineOptions::builder().retries(2).faults(plan).build();
 
     engine::set_threads(1);

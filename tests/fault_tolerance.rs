@@ -36,7 +36,11 @@ fn over_budget_faults_degrade_training_with_exact_counts() {
     // depth 9 with a retry budget of 1: every selected Panic/Error task
     // fails permanently (Stall tasks still succeed — a stall delays the
     // attempt, it does not fail it).
-    let plan = { let mut p = FaultPlan::new(3, 0.6); p.depth = 9; p };
+    let plan = {
+        let mut p = FaultPlan::new(3, 0.6);
+        p.depth = 9;
+        p
+    };
     let opts = EngineOptions::builder().retries(1).faults(plan).build();
     engine::Engine::new().clear_caches();
     let before = engine::EngineStats::snapshot();
@@ -93,7 +97,11 @@ fn analyze_profile_fault_surfaces_as_degraded() {
     // hard failure; Stall injections succeed after sleeping, so they
     // cannot drive this test. The search is deterministic.
     let plan = (0..500u64)
-        .map(|seed| { let mut p = FaultPlan::new(seed, 1.0); p.depth = 9; p })
+        .map(|seed| {
+            let mut p = FaultPlan::new(seed, 1.0);
+            p.depth = 9;
+            p
+        })
         .find(|p| {
             matches!(
                 p.decide("analyze-profile", 0, 0),
@@ -111,7 +119,10 @@ fn analyze_profile_fault_surfaces_as_degraded() {
     let result = clara.analyze(&module, &trace);
     engine::configure(&EngineOptions::default());
     match result {
-        Err(ClaraError::Degraded { failed: 1, total: 1 }) => {}
+        Err(ClaraError::Degraded {
+            failed: 1,
+            total: 1,
+        }) => {}
         Err(other) => panic!("expected Degraded {{1, 1}}, got {other}"),
         Ok(_) => panic!("expected Degraded, got insights"),
     }
@@ -125,7 +136,11 @@ fn clara_faults_env_override_reaches_the_engine() {
     // one task of this stage under a zero-retry budget.
     let seed = (0..500u64)
         .find(|&s| {
-            let p = { let mut p = FaultPlan::new(s, 0.8); p.depth = 9; p };
+            let p = {
+                let mut p = FaultPlan::new(s, 0.8);
+                p.depth = 9;
+                p
+            };
             (0..8usize).any(|i| {
                 matches!(
                     p.decide("env-fault-stage", i, 0),

@@ -56,10 +56,22 @@ fn cache_counters_reconcile_with_engine_stats() {
     assert_eq!(report.counter("engine.profile_cache.hits"), Some(1));
     assert_eq!(report.counter("engine.compile_cache.misses"), Some(1));
 
-    assert_eq!(Some(stats.profile_misses), report.counter("engine.profile_cache.misses"));
-    assert_eq!(Some(stats.profile_hits), report.counter("engine.profile_cache.hits"));
-    assert_eq!(Some(stats.compile_misses), report.counter("engine.compile_cache.misses"));
-    assert_eq!(Some(stats.compile_hits), report.counter("engine.compile_cache.hits"));
+    assert_eq!(
+        Some(stats.profile_misses),
+        report.counter("engine.profile_cache.misses")
+    );
+    assert_eq!(
+        Some(stats.profile_hits),
+        report.counter("engine.profile_cache.hits")
+    );
+    assert_eq!(
+        Some(stats.compile_misses),
+        report.counter("engine.compile_cache.misses")
+    );
+    assert_eq!(
+        Some(stats.compile_hits),
+        report.counter("engine.compile_cache.hits")
+    );
 }
 
 /// Spans opened inside worker threads nest under the dispatching stage
@@ -74,7 +86,10 @@ fn worker_spans_nest_under_the_stage_span() {
 
     let modules = [corpus_module("aggcounter"), corpus_module("cmsketch")];
     let compiled = engine::par_map("obs-test-stage", &modules, |_, m| {
-        engine::Engine::new().compile_cached(m).handler().total_compute()
+        engine::Engine::new()
+            .compile_cached(m)
+            .handler()
+            .total_compute()
     });
     assert_eq!(compiled.len(), 2);
 
@@ -82,13 +97,18 @@ fn worker_spans_nest_under_the_stage_span() {
     obs::disable();
     engine::set_threads(0);
 
-    let stage = report.find_span("obs-test-stage").expect("stage span recorded");
+    let stage = report
+        .find_span("obs-test-stage")
+        .expect("stage span recorded");
     let nested = stage
         .children
         .iter()
         .filter(|c| c.name == "nfcc-compile")
         .count();
-    assert_eq!(nested, 2, "both worker compiles nest under the stage: {stage:?}");
+    assert_eq!(
+        nested, 2,
+        "both worker compiles nest under the stage: {stage:?}"
+    );
 }
 
 /// Both serializations are valid JSON and round-trip byte-identically
@@ -188,7 +208,10 @@ fn train_report_sink_and_versioned_persistence() {
 
     // Garbage content is a Format error; a missing file is an Io error.
     std::fs::write(&model_path, "{not json").expect("rewrite model");
-    assert!(matches!(Clara::load(&model_path), Err(ClaraError::Format { .. })));
+    assert!(matches!(
+        Clara::load(&model_path),
+        Err(ClaraError::Format { .. })
+    ));
     assert!(matches!(
         Clara::load(dir.join("missing.json")),
         Err(ClaraError::Io { .. })

@@ -164,8 +164,7 @@ fn placement_matrix_matches_golden() {
                     .expect("write to string");
                 }
                 Err(e2) => {
-                    writeln!(out, "{} {} error={e2}", e.name(), b.name())
-                        .expect("write to string");
+                    writeln!(out, "{} {} error={e2}", e.name(), b.name()).expect("write to string");
                 }
             }
         }

@@ -90,7 +90,10 @@ impl Conn {
             .expect("write request");
         let mut resp = String::new();
         self.reader.read_line(&mut resp).expect("read response");
-        assert!(!resp.is_empty(), "server closed the connection unexpectedly");
+        assert!(
+            !resp.is_empty(),
+            "server closed the connection unexpectedly"
+        );
         resp.trim_end().to_string()
     }
 
@@ -336,7 +339,10 @@ fn repeated_request_is_served_from_warm_caches() {
     let second = conn.send(&line);
     let after = conn.send(&protocol::render_request(None, &Request::Stats));
 
-    assert!(first.contains("\"ok\":true"), "first request succeeds: {first}");
+    assert!(
+        first.contains("\"ok\":true"),
+        "first request succeeds: {first}"
+    );
     assert_eq!(first, second, "identical requests must render identically");
 
     let (miss_before, miss_mid, miss_after) = (
@@ -417,20 +423,12 @@ fn per_request_backend_routing() {
     // Interleaved clients: each thread alternates default/explicit
     // backends, crossing coalescing boundaries.
     let expected_for = |id: u64, backend: Option<&str>| match backend {
-        None | Some("agilio-cx") => protocol::predict_response(
-            Some(id),
-            "cmsketch",
-            "agilio-cx",
-            Precision::F64,
-            &p_agilio,
-        ),
-        Some("dpu-offpath") => protocol::predict_response(
-            Some(id),
-            "cmsketch",
-            "dpu-offpath",
-            Precision::F64,
-            &p_dpu,
-        ),
+        None | Some("agilio-cx") => {
+            protocol::predict_response(Some(id), "cmsketch", "agilio-cx", Precision::F64, &p_agilio)
+        }
+        Some("dpu-offpath") => {
+            protocol::predict_response(Some(id), "cmsketch", "dpu-offpath", Precision::F64, &p_dpu)
+        }
         Some(other) => panic!("unexpected backend {other}"),
     };
     let plan: [Option<&str>; 6] = [
@@ -451,10 +449,8 @@ fn per_request_backend_routing() {
                     let mut out = Vec::new();
                     for (j, backend) in plan.iter().enumerate() {
                         let id = (t * 100 + j) as u64;
-                        let line = protocol::render_request(
-                            Some(id),
-                            &Request::Predict(mk(*backend)),
-                        );
+                        let line =
+                            protocol::render_request(Some(id), &Request::Predict(mk(*backend)));
                         out.push((id, *backend, conn.send(&line)));
                     }
                     out
@@ -582,9 +578,7 @@ fn per_request_precision_routing() {
 
     // An unknown precision string is rejected at parse time with a
     // typed `bad_request`, never queued.
-    let resp = conn.send(
-        r#"{"v":1,"op":"predict","nf":"heavy_hitter","precision":"bf16"}"#,
-    );
+    let resp = conn.send(r#"{"v":1,"op":"predict","nf":"heavy_hitter","precision":"bf16"}"#);
     let v = serde_json::parse_value(&resp).expect("rejection parses");
     assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{resp}");
     assert_eq!(
@@ -672,7 +666,12 @@ fn place_requests_route_replan_and_land_in_the_drain_report() {
     // Drain: the deterministic report carries the re-plan counters.
     let resp = conn.send(&protocol::render_request(Some(43), &Request::Drain));
     assert!(resp.contains("\"ok\":true"), "drain succeeds: {resp}");
-    for counter in ["serve.ops.place", "place.requests", "place.epochs", "place.resolves"] {
+    for counter in [
+        "serve.ops.place",
+        "place.requests",
+        "place.epochs",
+        "place.resolves",
+    ] {
         assert!(
             resp.contains(counter),
             "drain report must carry `{counter}`: {resp}"
@@ -695,12 +694,19 @@ fn drain_completes_with_deterministic_report() {
     for i in 0..3 {
         let (line, _) = predict_req(i, "tcpresp", 60, 30 + i);
         let resp = conn.send(&line);
-        assert!(resp.contains("\"ok\":true"), "warm-up predict {i} succeeds: {resp}");
+        assert!(
+            resp.contains("\"ok\":true"),
+            "warm-up predict {i} succeeds: {resp}"
+        );
     }
 
     let resp = conn.send(&protocol::render_request(Some(99), &Request::Drain));
     let v = serde_json::parse_value(&resp).expect("drain response is valid JSON");
-    assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "drain succeeds: {resp}");
+    assert_eq!(
+        v.get("ok"),
+        Some(&Value::Bool(true)),
+        "drain succeeds: {resp}"
+    );
     assert_eq!(
         stat_u64(&resp, "served"),
         3,
@@ -786,7 +792,11 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
     ));
     let v = serde_json::parse_value(&resp).expect("register response parses");
     assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{resp}");
-    assert_eq!(v.get("tenant"), Some(&Value::Str("alpha".to_string())), "{resp}");
+    assert_eq!(
+        v.get("tenant"),
+        Some(&Value::Str("alpha".to_string())),
+        "{resp}"
+    );
     assert_eq!(map_u64(&v, "quota"), 2, "quota echoes as admitted: {resp}");
     assert!(
         resp.contains(r#""nfs":["cmsketch","iplookup"]"#),
@@ -834,14 +844,20 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
         Some("alpha"),
         &Request::Predict(w.clone()),
     ));
-    assert_eq!(resp, expected, "tenant-scoped predict is byte-identical to the facade");
+    assert_eq!(
+        resp, expected,
+        "tenant-scoped predict is byte-identical to the facade"
+    );
 
     // Out-of-set NF: typed `unknown_nf`. Unregistered tenant: typed
     // `unknown_tenant`. Register without a tenant name: `bad_request`.
     let resp = conn.send(&protocol::render_request_as(
         Some(4),
         Some("alpha"),
-        &Request::Predict(WorkSpec { nf: "tcpack".to_string(), ..w.clone() }),
+        &Request::Predict(WorkSpec {
+            nf: "tcpack".to_string(),
+            ..w.clone()
+        }),
     ));
     assert!(
         resp.contains(r#""error":"unknown_nf""#),
@@ -871,10 +887,26 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
     // tenants.
     let stats = conn.send(&protocol::render_request(None, &Request::Stats));
     let global_keys = [
-        "queue_depth", "in_flight", "served", "overloaded", "quota_exceeded",
-        "errors", "draining", "workers", "shards", "queue_cap", "batch_max",
-        "precision", "backends", "tenants", "coloc", "compile_hits",
-        "compile_misses", "profile_hits", "profile_misses", "disk_hits",
+        "queue_depth",
+        "in_flight",
+        "served",
+        "overloaded",
+        "quota_exceeded",
+        "errors",
+        "draining",
+        "workers",
+        "shards",
+        "queue_cap",
+        "batch_max",
+        "precision",
+        "backends",
+        "tenants",
+        "coloc",
+        "compile_hits",
+        "compile_misses",
+        "profile_hits",
+        "profile_misses",
+        "disk_hits",
         "disk_recomputes",
     ];
     let mut at = 0;
@@ -888,8 +920,14 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
     let tenants_at = stats.find("\"tenants\":").expect("tenants section");
     let mut at = tenants_at;
     for key in [
-        "name", "shard", "quota", "queued", "served", "overloaded",
-        "quota_exceeded", "errors",
+        "name",
+        "shard",
+        "quota",
+        "queued",
+        "served",
+        "overloaded",
+        "quota_exceeded",
+        "errors",
     ] {
         let needle = format!("\"{key}\":");
         let pos = stats[at..]
@@ -1064,22 +1102,41 @@ fn bursting_tenant_is_quota_limited_while_victim_keeps_latency() {
     // same response, and with the lifetime summary after drain.
     let stats = victim.send(&protocol::render_request(None, &Request::Stats));
     let (t_served, t_over, t_quota, t_errors) = tenant_sums(&stats);
-    assert_eq!(t_served, stat_u64(&stats, "served"), "served attribution: {stats}");
-    assert_eq!(t_over, stat_u64(&stats, "overloaded"), "overloaded attribution: {stats}");
+    assert_eq!(
+        t_served,
+        stat_u64(&stats, "served"),
+        "served attribution: {stats}"
+    );
+    assert_eq!(
+        t_over,
+        stat_u64(&stats, "overloaded"),
+        "overloaded attribution: {stats}"
+    );
     assert_eq!(
         t_quota,
         stat_u64(&stats, "quota_exceeded"),
         "quota_exceeded attribution: {stats}"
     );
-    assert_eq!(t_errors, stat_u64(&stats, "errors"), "errors attribution: {stats}");
+    assert_eq!(
+        t_errors,
+        stat_u64(&stats, "errors"),
+        "errors attribution: {stats}"
+    );
 
     handle.drain();
     let summary = handle.join();
-    assert_eq!(summary.served, t_served, "wire stats reconcile with the summary");
+    assert_eq!(
+        summary.served, t_served,
+        "wire stats reconcile with the summary"
+    );
     assert_eq!(summary.overloaded, t_over);
     assert_eq!(summary.quota_exceeded, t_quota);
     assert_eq!(summary.errors, t_errors);
-    assert_eq!(summary.served, 43 + burst_ok, "3 warm-ups + 40 timed + admitted burst");
+    assert_eq!(
+        summary.served,
+        43 + burst_ok,
+        "3 warm-ups + 40 timed + admitted burst"
+    );
     assert_eq!(summary.quota_exceeded, burst_quota);
     assert_eq!(summary.errors, 0);
 }
@@ -1107,7 +1164,8 @@ fn drain_racing_concurrent_enqueuers_always_terminates() {
                     for j in 0..3u64 {
                         // Cached after round 0, so rounds are fast and the
                         // race window sits in admission, not in the work.
-                        let (line, _) = predict_req(round * 100 + t * 10 + j, "tcpresp", 60, 30 + j);
+                        let (line, _) =
+                            predict_req(round * 100 + t * 10 + j, "tcpresp", 60, 30 + j);
                         match conn.try_send(&line) {
                             None => break, // connection torn down post-drain
                             Some(resp) => {
@@ -1134,7 +1192,10 @@ fn drain_racing_concurrent_enqueuers_always_terminates() {
             handle.drain();
         });
         let summary = handle.join();
-        assert_eq!(summary.quota_exceeded, 0, "round {round}: no tenant quota in play");
+        assert_eq!(
+            summary.quota_exceeded, 0,
+            "round {round}: no tenant quota in play"
+        );
         assert_eq!(summary.errors, 0, "round {round}: nothing may hard-fail");
     }
 }
@@ -1238,7 +1299,10 @@ fn cache_hits_skip_a_full_queue_but_not_drain() {
 
     let (key, _) = predict_req(1, "tcpack", 60, 4141);
     let first = key_conn.send(&key);
-    assert!(first.contains("\"ok\":true"), "warming the key succeeds: {first}");
+    assert!(
+        first.contains("\"ok\":true"),
+        "warming the key succeeds: {first}"
+    );
 
     std::thread::scope(|scope| {
         // Two heavy distinct misses: the first occupies the worker, the
@@ -1260,11 +1324,16 @@ fn cache_hits_skip_a_full_queue_but_not_drain() {
         });
 
         let again = key_conn.send(&key);
-        assert_eq!(again, first, "a hit skips the full queue and serves the same bytes");
+        assert_eq!(
+            again, first,
+            "a hit skips the full queue and serves the same bytes"
+        );
 
-        let drainer =
-            scope.spawn(move || drain_conn.send(&protocol::render_request(Some(99), &Request::Drain)));
-        wait_for_stats(&mut watch, "drain to begin", |st| st.contains("\"draining\":true"));
+        let drainer = scope
+            .spawn(move || drain_conn.send(&protocol::render_request(Some(99), &Request::Drain)));
+        wait_for_stats(&mut watch, "drain to begin", |st| {
+            st.contains("\"draining\":true")
+        });
         let refused = key_conn.send(&key);
         assert!(
             refused.contains(r#""error":"draining""#),
@@ -1273,18 +1342,32 @@ fn cache_hits_skip_a_full_queue_but_not_drain() {
 
         for h in [busy, queued] {
             let resp = h.join().expect("heavy client");
-            assert!(resp.contains("\"ok\":true"), "admitted misses are served: {resp}");
+            assert!(
+                resp.contains("\"ok\":true"),
+                "admitted misses are served: {resp}"
+            );
         }
         let drained = drainer.join().expect("drain client");
-        assert!(drained.contains("\"ok\":true"), "drain succeeds: {drained:.200}");
-        assert_eq!(stat_u64(&drained, "served"), 4, "drain counts every ok reply");
+        assert!(
+            drained.contains("\"ok\":true"),
+            "drain succeeds: {drained:.200}"
+        );
+        assert_eq!(
+            stat_u64(&drained, "served"),
+            4,
+            "drain counts every ok reply"
+        );
     });
 
     let summary = handle.join();
     assert_eq!(summary.served, 4, "two key replies and two heavy misses");
     assert_eq!(summary.overloaded, 0);
     assert_eq!(summary.errors, 0);
-    assert_eq!(hits.value() - hits_before, 1, "exactly the key's one answered hit");
+    assert_eq!(
+        hits.value() - hits_before,
+        1,
+        "exactly the key's one answered hit"
+    );
 }
 
 /// Reads until the peer closes; a reset counts as closed too.
@@ -1325,7 +1408,10 @@ fn over_long_tcp_line_is_refused_and_the_connection_closed() {
 
     let (line, _) = predict_req(3, "tcpack", 60, 4242);
     let resp = Conn::open(handle.addr()).send(&line);
-    assert!(resp.contains("\"ok\":true"), "a fresh connection is served: {resp}");
+    assert!(
+        resp.contains("\"ok\":true"),
+        "a fresh connection is served: {resp}"
+    );
     handle.drain();
     let summary = handle.join();
     assert_eq!(summary.served, 1);
@@ -1381,7 +1467,10 @@ fn over_long_uds_frame_is_refused_and_the_connection_closed() {
     let resp = transport::read_frame(&mut fresh, &mut buf)
         .expect("read frame")
         .expect("a reply frame");
-    assert!(resp.contains("\"ok\":true"), "a fresh connection is served: {resp}");
+    assert!(
+        resp.contains("\"ok\":true"),
+        "a fresh connection is served: {resp}"
+    );
     drop(fresh);
     handle.drain();
     let summary = handle.join();
