@@ -2,7 +2,7 @@
 //! sweep over the hottest variables.
 
 use clara_bench::{banner, f2, nic, table, trace_len};
-use clara_core::coalesce::{eval_plan, exhaustive_coalescing, suggest_coalescing};
+use clara_core::coalesce::{exhaustive_coalescing, plan_accesses, suggest_coalescing, summarize};
 use nic_sim::{solve_perf, NicConfig, PerfPoint, PortConfig};
 use trafgen::{Trace, WorkloadSpec};
 
@@ -35,15 +35,18 @@ fn main() {
         let clara_plan = suggest_coalescing(&e.module, &trace, 91);
         let expert_plan = exhaustive_coalescing(&e.module, &trace, &cfg, 8);
 
+        // Both plans are priced from one pass of the NF over the trace:
+        // the priced profile is the plan's costed profile, bit for bit.
+        let summary = summarize(&e.module, &trace, &cfg);
         let eval = |plan: &nic_sim::CoalescePlan| -> (u32, f64, f64) {
             let port = PortConfig::naive().with_coalesce(plan.clone());
-            let wp = nic_sim::profile_workload(&e.module, &trace, &port, &cfg, |_| {});
+            let wp = summary.price(plan);
             let pts: Vec<PerfPoint> = (1..=60).map(|c| solve_perf(&wp, &cfg, &port, c)).collect();
             let sat = cores_to_saturate(&pts);
             (
                 sat,
                 pts[(sat - 1) as usize].latency_us,
-                eval_plan(&e.module, &trace, &cfg, plan),
+                plan_accesses(&summary, &cfg, plan),
             )
         };
         let (c_cores, c_lat, c_acc) = eval(&clara_plan);

@@ -14,8 +14,9 @@
 //!   the NIC, `k..n` on the host) and reports throughput, latency, and —
 //!   the quantity the paper's introduction optimizes — **host CPU cores
 //!   freed** for revenue work. [`crate::placement::plan`] re-exports it
-//!   with [`best_split`], and [`crate::Clara::place`] runs it for the
-//!   chain-split half of every placement plan.
+//!   with [`best_split`], and [`crate::Clara::place`] builds the
+//!   chain-split half of every placement plan with [`split_plans`], from
+//!   the chain pass that also gave it the first NF's profile.
 
 use nic_sim::{solve_perf, NicConfig, PortConfig, WorkloadProfile};
 use serde::{Deserialize, Serialize};
@@ -114,6 +115,19 @@ pub fn suggest_split(
     setup: impl FnOnce(&mut click_model::Chain),
 ) -> Vec<SplitPlan> {
     let stages = nic_sim::profile_chain_stages(modules, nics, trace, ports, nic_cfg, setup);
+    split_plans(&stages, trace, nic_cfg, nic_cores, host)
+}
+
+/// [`suggest_split`] from the chain's stage profiles
+/// ([`nic_sim::profile_chain_stages`] over `trace`), for a caller that
+/// already ran the chain.
+pub fn split_plans(
+    stages: &[WorkloadProfile],
+    trace: &Trace,
+    nic_cfg: &NicConfig,
+    nic_cores: u32,
+    host: &HostConfig,
+) -> Vec<SplitPlan> {
     let n = stages.len();
     let mut plans = Vec::with_capacity(n + 1);
     for k in 0..=n {

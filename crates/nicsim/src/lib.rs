@@ -27,8 +27,17 @@
 //! [`PortConfig`] describing porting decisions (state placement,
 //! accelerator substitution, coalescing, core count). One costing sink
 //! receives each event as the interpreter runs, so a profile keeps no
-//! per-packet trace; [`record_workload`] keeps one only for sweeps that
-//! cost the same workload under many ports.
+//! per-packet trace. Each question runs an NF over a trace once:
+//!
+//! - a profile is one streamed pass ([`profile_workload`]);
+//! - [`profile_summarized`] adds a [`CoalesceSummary`] to a naive
+//!   profile's pass, from which [`CoalesceSummary::price`] gives the
+//!   profile of any coalescing plan without running the NF again;
+//! - [`run_chain`] profiles a service chain's stages in one pass, and its
+//!   first stage's profile is the first NF's standalone profile.
+//!
+//! [`record_workload`] keeps the interpreter traces for tools that
+//! inspect them; no analysis path records.
 
 pub mod config;
 pub mod fingerprint;
@@ -42,10 +51,10 @@ pub use fingerprint::{fingerprint_bytes, module_fingerprint, trace_fingerprint};
 pub use model::{solve_colocated, solve_perf, PerfPoint};
 pub use port::{Accel, CoalescePlan, PortConfig};
 pub use profile::{
-    profile_recorded, profile_recorded_compiled, profile_workload, profile_workload_compiled,
-    record_workload, RecordedWorkload, WorkloadProfile,
+    profile_recorded, profile_recorded_compiled, profile_summarized, profile_workload,
+    profile_workload_compiled, record_workload, CoalesceSummary, RecordedWorkload, WorkloadProfile,
 };
 pub use sim::{
     chain_global, merge_stage_profiles, optimal_cores, profile_chain, profile_chain_stages,
-    simulate, simulate_colocated, sweep_cores, Simulation, CHAIN_STRIDE,
+    run_chain, simulate, simulate_colocated, sweep_cores, ChainPass, Simulation, CHAIN_STRIDE,
 };

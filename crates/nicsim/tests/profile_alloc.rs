@@ -1,12 +1,14 @@
 //! A streamed profile allocates nothing per packet.
 //!
 //! `profile_workload_compiled` hands each interpreted event straight to
-//! the costing sink: no per-packet trace, no per-packet cost map. So for
-//! an NF with no stateful globals (no touched-index sets to grow) and no
-//! payload writes (no copy-on-write payload overlay), the allocations a
-//! profile makes do not depend on how many packets it runs. This binary
-//! installs a counting global allocator, which is why it holds this one
-//! test and nothing else.
+//! the costing sink: no per-packet trace, no per-packet cost map, and a
+//! packet's rewritten payload bytes stay inside its view. So the
+//! allocations a profile makes do not depend on how many packets it runs,
+//! once the NF's state has stopped growing: an NF with no stateful
+//! globals has no touched-index sets to grow, and one whose state a few
+//! flows saturate stops growing them early. This binary installs a
+//! counting global allocator, which is why it holds these tests and
+//! nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -102,4 +104,38 @@ fn profile_allocations_do_not_grow_with_packets() {
         checked.len() >= 3,
         "too few stateless NFs checked: {checked:?}"
     );
+}
+
+/// The NFs that rewrite payload bytes, over four flows: by the shorter
+/// run every flow-table slot and page-table entry they index has been
+/// touched, so the only allocations that could differ between the runs
+/// are per-packet ones.
+#[test]
+fn payload_writes_allocate_nothing_per_packet() {
+    let spec = WorkloadSpec::large_flows().with_flows(4);
+    let short = Trace::generate(&spec, 800, 3);
+    let long = Trace::generate(&spec, 3200, 3);
+    let mut checked = Vec::new();
+    for e in extended_corpus() {
+        if !writes_payload(&e) {
+            continue;
+        }
+        let nic = nfcc::compile_module(&e.module);
+        profile_allocations(&e, &nic, &short);
+        let few = profile_allocations(&e, &nic, &short);
+        let many = profile_allocations(&e, &nic, &long);
+        assert_eq!(
+            few,
+            many,
+            "{}: a profile's allocations grew with its packet count",
+            e.name()
+        );
+        checked.push(e.name().to_string());
+    }
+    for nf in ["webgen", "gretunnel", "dnsproxy"] {
+        assert!(
+            checked.iter().any(|c| c == nf),
+            "{nf} writes payload: {checked:?}"
+        );
+    }
 }
