@@ -10,8 +10,14 @@
 //! workloads, and fully deterministic from its 64-bit seed, which is all
 //! the corpus synthesis, model training, and traffic generation here
 //! require. Streams differ from upstream `rand`'s ChaCha-based `StdRng`,
-//! but every consumer in this workspace only relies on determinism and
-//! uniformity, never on a specific stream.
+//! and consumers rely on determinism and uniformity, never on a specific
+//! stream, with one exception. SplitMix64 is counter-based: its state
+//! steps by one constant per draw, so [`rngs::StdRng::advance`] skips
+//! `k` draws in O(1). `trafgen` draws each flow's key on demand from the
+//! position an eager flow table would have reached, which relies on that
+//! and on `gen_bool`, `gen::<u32>` and `gen_range` over an integer range
+//! each taking exactly one draw (none of them is rejection-sampled here).
+//! A generator without both properties would change every trace.
 
 /// Low-level 64-bit generator interface.
 pub trait RngCore {
@@ -185,9 +191,22 @@ pub mod rngs {
         state: u64,
     }
 
+    impl StdRng {
+        /// Skips the next `draws` calls of [`RngCore::next_u64`] in O(1):
+        /// SplitMix64's state is a counter that each draw steps by one
+        /// constant, so `advance(k)` leaves the generator exactly where
+        /// `k` draws would (modulo 2⁶⁴, like the counter itself).
+        pub fn advance(&mut self, draws: u64) {
+            self.state = self.state.wrapping_add(draws.wrapping_mul(GAMMA));
+        }
+    }
+
+    /// SplitMix64's state increment per draw.
+    const GAMMA: u64 = 0x9e3779b97f4a7c15;
+
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
+            self.state = self.state.wrapping_add(GAMMA);
             let mut z = self.state;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -263,6 +282,36 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
+    }
+
+    #[test]
+    fn advance_skips_exactly_that_many_draws() {
+        // 3 · 8192 is the draw count of a small-flows flow table; every
+        // k ≥ 2 wraps `k · GAMMA`, and seed u64::MAX wraps the add.
+        for seed in [0, 9, u64::MAX] {
+            for k in [0u64, 1, 2, 3, 3 * 8192, 100_003] {
+                let mut stepped = StdRng::seed_from_u64(seed);
+                for _ in 0..k {
+                    stepped.gen::<u64>();
+                }
+                let mut skipped = StdRng::seed_from_u64(seed);
+                skipped.advance(k);
+                for _ in 0..4 {
+                    assert_eq!(skipped.gen::<u64>(), stepped.gen::<u64>(), "{seed} {k}");
+                }
+            }
+        }
+        // Skip counts past 2⁶⁴ wrap like the counter: u64::MAX steps back
+        // one draw, and skips compose.
+        let mut rng = StdRng::seed_from_u64(5);
+        let v = rng.gen::<u64>();
+        rng.advance(u64::MAX);
+        assert_eq!(rng.gen::<u64>(), v);
+        let (mut a, mut b) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+        a.advance(1 << 63);
+        a.advance((1 << 63) + 7);
+        b.advance(7);
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]

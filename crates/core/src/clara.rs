@@ -598,10 +598,11 @@ impl Clara {
             name: module.name.clone(),
             detail: e.to_string(),
         })?;
+        let prepared = prepare_module(module);
         let value = (
             self.predictor
-                .predict_module_compute_prec(module, precision),
-            prepare_module(module).counted_mem(),
+                .predict_prepared_compute(&prepared, precision),
+            prepared.counted_mem(),
         );
         memo.lock().expect("memo poisoned").insert(key, value);
         Ok(value)
@@ -663,7 +664,8 @@ impl Clara {
     ) -> Vec<Result<Prediction, ClaraError>> {
         let nic = backend.nic();
         let naive = PortConfig::naive();
-        let scope = engine::ProfileScope::new(&naive, nic, backend.fingerprint());
+        let scope =
+            engine::ProfileScope::naive(nic, backend.nic_fingerprint(), backend.fingerprint());
         let outcome = engine::try_par_map("predict-batch", items, |_, &(module, trace)| {
             if trace.pkts.is_empty() {
                 return Err(ClaraError::EmptyTrace);
@@ -738,12 +740,13 @@ impl Clara {
         // `analyze_on_prec(default_backend())` does, so the two share one
         // entry; any other device keys by its configuration.
         let default: &dyn clara_hal::Backend = clara_hal::default_backend();
-        let backend_fp = if self.nic == *default.nic() {
-            default.fingerprint()
+        let (nic_fp, backend_fp) = if self.nic == *default.nic() {
+            (default.nic_fingerprint(), default.fingerprint())
         } else {
-            engine::value_fingerprint(&self.nic)
+            let fp = engine::value_fingerprint(&self.nic);
+            (fp, fp)
         };
-        self.analyze_with(module, trace, &self.nic, backend_fp, precision)
+        self.analyze_with(module, trace, &self.nic, nic_fp, backend_fp, precision)
     }
 
     /// [`Clara::analyze`] against a specific device backend at an
@@ -769,16 +772,20 @@ impl Clara {
             module,
             trace,
             backend.nic(),
+            backend.nic_fingerprint(),
             backend.fingerprint(),
             precision,
         )
     }
 
+    /// `nic_fp` is `nic`'s [`engine::value_fingerprint`] and `backend_fp`
+    /// keys the device, as in [`engine::Engine::profile_cached_for`].
     fn analyze_with(
         &self,
         module: &Module,
         trace: &Trace,
         nic: &NicConfig,
+        nic_fp: u64,
         backend_fp: u64,
         precision: Precision,
     ) -> Result<Insights, ClaraError> {
@@ -806,7 +813,7 @@ impl Clara {
         let predicted_compute = {
             let _s = obs::span("analyze-predict-compute");
             self.predictor
-                .predict_module_compute_prec(module, precision)
+                .predict_prepared_compute(&prepared, precision)
         };
         let counted_mem = prepared.counted_mem();
         let accel = {
@@ -831,7 +838,7 @@ impl Clara {
         let naive = PortConfig::naive();
         let packs = coalesce::packs(module);
         let (profile, summary) = match engine::try_time_stage("analyze-profile", || {
-            let scope = engine::ProfileScope::new(&naive, nic, backend_fp);
+            let scope = engine::ProfileScope::naive(nic, nic_fp, backend_fp);
             let trace_fp = nic_sim::trace_fingerprint(trace);
             if packs {
                 scope.profile_summarized(module, module_fp, trace, trace_fp)

@@ -865,6 +865,28 @@ impl<'a> ProfileScope<'a> {
         }
     }
 
+    /// [`ProfileScope::new`] of the naive port, hashing nothing: the
+    /// port's fingerprint is computed once per process, and `cfg_fp` is
+    /// `cfg`'s [`value_fingerprint`], which a device backend holds as its
+    /// [`clara_hal::Backend::nic_fingerprint`]. Every predict batch,
+    /// `analyze` and `place` profiles under one of these.
+    pub(crate) fn naive(cfg: &'a NicConfig, cfg_fp: u64, backend_fp: u64) -> Self {
+        static NAIVE: OnceLock<(PortConfig, u64)> = OnceLock::new();
+        let (port, port_fp) = NAIVE.get_or_init(|| {
+            let port = PortConfig::naive();
+            let fp = value_fingerprint(&port);
+            (port, fp)
+        });
+        debug_assert_eq!(cfg_fp, value_fingerprint(cfg), "cfg_fp keys cfg");
+        ProfileScope {
+            port,
+            cfg,
+            port_fp: *port_fp,
+            cfg_fp,
+            backend_fp,
+        }
+    }
+
     /// [`Engine::profile_cached_for`] under this scope, for a module whose
     /// [`module_fingerprint`] is `module_fp` and a trace whose
     /// [`trace_fingerprint`] is `trace_fp`: the same cache entry, without
@@ -1269,6 +1291,29 @@ mod tests {
         let warm = engine.profile_cached(&m, &trace, &port, &cfg);
         assert_eq!(direct, cold);
         assert_eq!(cold, warm);
+    }
+
+    #[test]
+    fn naive_scopes_key_profiles_as_hashing_does() {
+        // Precomputed fingerprints must give the keys that hashing the
+        // port and each device per request gave: disk-cache keys and run
+        // reports depend on them.
+        let naive = PortConfig::naive();
+        for b in clara_hal::builtins() {
+            use clara_hal::Backend;
+            assert_eq!(
+                b.nic_fingerprint(),
+                value_fingerprint(b.nic()),
+                "{}",
+                b.name()
+            );
+            let hashed = ProfileScope::new(&naive, b.nic(), b.fingerprint());
+            let held = ProfileScope::naive(b.nic(), b.nic_fingerprint(), b.fingerprint());
+            assert_eq!(
+                (held.port, held.port_fp, held.cfg_fp, held.backend_fp),
+                (&naive, hashed.port_fp, hashed.cfg_fp, hashed.backend_fp)
+            );
+        }
     }
 
     #[test]

@@ -701,7 +701,8 @@ impl Clara {
 
         let nic = backend.nic();
         let naive = PortConfig::naive();
-        let scope = engine::ProfileScope::new(&naive, nic, backend.fingerprint());
+        let scope =
+            engine::ProfileScope::naive(nic, backend.nic_fingerprint(), backend.fingerprint());
         // Every NF is profiled on the same trace: hash it once.
         let profile_at = |trace: &Trace| -> Vec<WorkloadProfile> {
             let trace_fp = nic_sim::trace_fingerprint(trace);

@@ -18,6 +18,8 @@ use tinyml::mlp::{Loss, Mlp, MlpConfig};
 use tinyml::quant::{Precision, QuantLstm, QuantMlp};
 use tinyml::regressor::{Regressor, RegressorInput};
 
+use crate::prepare::{prepare_module, PreparedModule};
+
 /// One training sample: a block's token sequence and its ground-truth
 /// NIC instruction counts (from compiling with `nfcc`).
 #[derive(Debug, Clone, PartialEq)]
@@ -390,7 +392,12 @@ impl InstructionPredictor {
     /// path here; at `F64` the default per-item loop keeps results
     /// bit-identical to summing [`InstructionPredictor::predict_block`].
     pub fn predict_module_compute_prec(&self, module: &Module, precision: Precision) -> f64 {
-        let prepared = crate::prepare::prepare_module(module);
+        self.predict_prepared_compute(&prepare_module(module), precision)
+    }
+
+    /// [`InstructionPredictor::predict_module_compute_prec`] of a module
+    /// already prepared, for callers that use the preparation too.
+    pub fn predict_prepared_compute(&self, prepared: &PreparedModule, precision: Precision) -> f64 {
         let reg = self.regressor(precision);
         let preds = if self.uses_sequences() {
             let encoded: Vec<Vec<usize>> = prepared

@@ -53,6 +53,11 @@ pub trait Backend {
     /// Content fingerprint of the manifest; equal devices ⇒ equal
     /// fingerprints. Cache keys must incorporate it.
     fn fingerprint(&self) -> u64;
+    /// Content fingerprint of [`Backend::nic`]: FNV-1a of its JSON, the
+    /// engine's `value_fingerprint` of it. Profile-cache keys carry it
+    /// next to [`Backend::fingerprint`], so it is computed once rather
+    /// than per request.
+    fn nic_fingerprint(&self) -> u64;
 }
 
 /// A backend built from a device manifest.
@@ -61,6 +66,7 @@ pub struct DeviceBackend {
     manifest: Manifest,
     nic: NicConfig,
     fingerprint: u64,
+    nic_fingerprint: u64,
 }
 
 impl DeviceBackend {
@@ -68,10 +74,13 @@ impl DeviceBackend {
     pub fn from_manifest(manifest: Manifest) -> DeviceBackend {
         let nic = manifest.nic_config();
         let fingerprint = manifest.fingerprint();
+        let nic_json = serde_json::to_string(&nic).unwrap_or_default();
+        let nic_fingerprint = nic_sim::fingerprint_bytes(nic_json.as_bytes());
         DeviceBackend {
             manifest,
             nic,
             fingerprint,
+            nic_fingerprint,
         }
     }
 
@@ -109,6 +118,10 @@ impl Backend for DeviceBackend {
 
     fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    fn nic_fingerprint(&self) -> u64 {
+        self.nic_fingerprint
     }
 }
 

@@ -19,6 +19,10 @@ cargo test --release -q -p tinyml
 cargo test -q --manifest-path clara-perf/Cargo.toml
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
+# `--all` and `--workspace` stop at the root workspace, so the benchmark's
+# sources are linted on their own.
+cargo fmt --manifest-path clara-perf/Cargo.toml -- --check
+cargo clippy --manifest-path clara-perf/Cargo.toml --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Smoke-run the timing bench with telemetry on; CLARA_REPORT=1 drops the
