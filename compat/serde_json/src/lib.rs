@@ -31,17 +31,6 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Serializes a value to pretty-printed JSON (2-space indent).
-///
-/// # Errors
-///
-/// Infallible; mirrors upstream's signature.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    render_pretty(&value.to_value(), &mut out, 0);
-    Ok(out)
-}
-
 /// Parses a JSON string into any deserializable type.
 ///
 /// # Errors
@@ -102,45 +91,6 @@ fn render(v: &Value, out: &mut String) {
             }
             out.push('}');
         }
-    }
-}
-
-fn render_pretty(v: &Value, out: &mut String, depth: usize) {
-    let pad = |out: &mut String, d: usize| {
-        for _ in 0..d {
-            out.push_str("  ");
-        }
-    };
-    match v {
-        Value::Seq(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                pad(out, depth + 1);
-                render_pretty(item, out, depth + 1);
-            }
-            out.push('\n');
-            pad(out, depth);
-            out.push(']');
-        }
-        Value::Map(entries) if !entries.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                pad(out, depth + 1);
-                render_str(k, out);
-                out.push_str(": ");
-                render_pretty(item, out, depth + 1);
-            }
-            out.push('\n');
-            pad(out, depth);
-            out.push('}');
-        }
-        other => render(other, out),
     }
 }
 

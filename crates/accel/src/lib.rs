@@ -236,11 +236,6 @@ pub fn names() -> Vec<&'static str> {
     CATALOG.iter().map(|v| v.name).collect()
 }
 
-/// The variants of one unit class, in catalog order.
-pub fn variants_of(unit: AccelUnit) -> Vec<&'static Variant> {
-    CATALOG.iter().filter(|v| v.unit == unit).collect()
-}
-
 /// The default variant of a unit: the first catalog entry of that unit
 /// with `cycle_scale == 1.0`. Manifests that do not pin a variant get
 /// this one, so their lowered costs match the pre-catalog behaviour.

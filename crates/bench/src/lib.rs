@@ -9,7 +9,6 @@ use clara_obs as obs;
 use click_model::NfElement;
 use nf_ir::BlockId;
 use nic_sim::{Accel, NicConfig, PortConfig};
-use trafgen::{Trace, WorkloadSpec};
 
 /// RAII run-report sink for a bench binary: armed by `--report [path]`
 /// on the command line or the `CLARA_REPORT` environment variable, and
@@ -109,20 +108,6 @@ pub fn trace_len() -> usize {
     } else {
         4000
     }
-}
-
-/// Generates the standard large-flow trace.
-pub fn large_flow_trace(seed: u64) -> Trace {
-    Trace::generate(&WorkloadSpec::large_flows(), trace_len(), seed)
-}
-
-/// Generates the standard small-flow trace.
-pub fn small_flow_trace(seed: u64) -> Trace {
-    Trace::generate(
-        &WorkloadSpec::small_flows().with_flows(16384),
-        trace_len().max(8000),
-        seed,
-    )
 }
 
 /// The default NIC.

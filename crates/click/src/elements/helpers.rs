@@ -20,13 +20,6 @@ pub fn flow_key(fb: &mut FunctionBuilder) -> Operand {
     fb.bin(BinOp::Xor, Ty::I32, k1, ports)
 }
 
-/// Loads the address-pair key (`ip_src ^ ip_dst`), used by coarser tables.
-pub fn addr_key(fb: &mut FunctionBuilder) -> Operand {
-    let src = fb.load(Ty::I32, MemRef::pkt(PktField::IpSrc));
-    let dst = fb.load(Ty::I32, MemRef::pkt(PktField::IpDst));
-    fb.bin(BinOp::Xor, Ty::I32, src, dst)
-}
-
 /// Emits `checksum_update(); pkt_send(port); ret` in the current block.
 pub fn csum_send_ret(fb: &mut FunctionBuilder, port: i64) {
     let _ = fb.call(ApiCall::ChecksumUpdate, vec![]);

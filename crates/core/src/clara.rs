@@ -146,9 +146,6 @@ pub struct ClaraConfig {
     pub epochs: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Engine behaviour: workers, retries, deadlines, fault injection,
-    /// persistent cache. Installed process-wide when training starts.
-    pub engine: engine::EngineOptions,
     /// Default inference precision for the trained pipeline (callers can
     /// still override per call/request).
     pub precision: Precision,
@@ -163,7 +160,6 @@ impl ClaraConfig {
             scaleout_programs: 60,
             epochs: 35,
             seed,
-            engine: engine::EngineOptions::default(),
             precision: Precision::F64,
         }
     }
@@ -176,7 +172,6 @@ impl ClaraConfig {
             scaleout_programs: 16,
             epochs: 15,
             seed,
-            engine: engine::EngineOptions::default(),
             precision: Precision::F64,
         }
     }
@@ -234,14 +229,6 @@ impl ClaraConfigBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Sets the engine options (workers, retries, stage deadline, fault
-    /// injection, persistent cache directory).
-    #[must_use]
-    pub fn engine(mut self, opts: engine::EngineOptions) -> Self {
-        self.cfg.engine = opts;
         self
     }
 
@@ -352,11 +339,10 @@ impl Clara {
     ///
     /// The corpus compiles and the corpus × workload profiling matrix
     /// fan out across [`crate::engine`]'s worker pool
-    /// ([`crate::engine::EngineOptions::workers`] / `CLARA_THREADS`
-    /// workers); results are bit-identical to a serial run. Engine tasks
-    /// that fail — panics, injected faults — retry within the configured
-    /// budget; faulted runs whose failures all retry out are likewise
-    /// bit-identical to a fault-free run.
+    /// ([`crate::engine::threads`] workers); results are bit-identical to
+    /// a serial run. Engine tasks that fail — panics, injected faults —
+    /// are retried twice; faulted runs whose failures all retry out are
+    /// likewise bit-identical to a fault-free run.
     ///
     /// # Errors
     ///
@@ -365,7 +351,6 @@ impl Clara {
     /// incomplete and no `Clara` is produced, but the run report (when a
     /// sink is configured) is still written with the failure counters.
     pub fn train(cfg: &ClaraConfig) -> Result<Clara, ClaraError> {
-        engine::configure(&cfg.engine);
         let sink = obs::sink_from_env();
         if sink.is_some() {
             obs::enable();

@@ -6,8 +6,9 @@
 //! on the simulator (`nic-sim`). This module provides the shared
 //! machinery all of them run through:
 //!
-//! - **a fixed worker pool** ([`par_map`]/[`try_par_map`]) built on
-//!   `std::thread::scope` — no work-stealing runtime, no dependency;
+//! - **stages** ([`par_map`]/[`try_par_map`]) whose tasks run on
+//!   [`tinyml::parallel`]'s scoped-thread pool, the one the LSTM's
+//!   gradient lanes use: no work-stealing runtime, no dependency;
 //! - **fault tolerance**: every task runs under `catch_unwind` with a
 //!   bounded, deterministic retry schedule and an optional per-stage
 //!   deadline; stages return the successes plus a structured
@@ -19,23 +20,22 @@
 //!   ([`Engine::compile_cached`], [`Engine::profile_cached`]): each
 //!   distinct module compiles at most once per process, and setup-free
 //!   profiling runs are memoized on `(module, trace, port, NIC config)`
-//!   fingerprints. With a cache directory configured
-//!   ([`EngineOptions::cache_dir`] or `CLARA_CACHE_DIR`) both are layered
-//!   over a persistent content-addressed artifact store (the `diskcache`
+//!   fingerprints. With `CLARA_CACHE_DIR` set both are layered over a
+//!   persistent content-addressed artifact store (the `diskcache`
 //!   module) that survives the process;
 //! - **[`EngineStats`]**: per-stage task counts and wall/CPU time plus
 //!   cache hit rates, printed by the bench binaries.
 //!
 //! # Configuration
 //!
-//! [`EngineOptions`] bundles the worker count, retry budget, stage
-//! deadline, fault plan, and cache directory; [`configure`] installs a
-//! process-wide default (done by `Clara::train` from
-//! [`crate::ClaraConfig`]). Environment variables override the
-//! configured options, and **this module is the workspace's only env-read
-//! site** for engine knobs: `CLARA_THREADS` (worker count; beaten only by
-//! the [`set_threads`] test override), `CLARA_FAULTS`
-//! (`<seed>:<rate>[:<depth>]`), and `CLARA_CACHE_DIR`.
+//! The environment is the engine's one configuration channel, read
+//! afresh by every stage: `CLARA_FAULTS` (`<seed>:<rate>[:<depth>]`) and
+//! `CLARA_CACHE_DIR` are read here, and `CLARA_THREADS` by
+//! [`tinyml::parallel::threads`], the one place the workspace decides its
+//! worker count, which this module re-exports as [`threads`] together
+//! with the [`set_threads`] override. A failing task is retried twice.
+//! The one setting made in code is [`set_stage_deadline`], which the
+//! serving daemon installs while it runs.
 //!
 //! # Determinism
 //!
@@ -49,14 +49,14 @@
 //! attempt)` — never wall-clock or scheduling — so a faulted run whose
 //! failures stay within the retry budget is bit-identical to a fault-free
 //! run. `tests/engine_determinism.rs` asserts all of this end to end.
-//! The one escape hatch is [`EngineOptions::stage_deadline`]: deadline
-//! expiry depends on wall-clock time, so runs that hit a deadline are
-//! *not* guaranteed deterministic (they are guaranteed to terminate).
+//! The one escape hatch is [`set_stage_deadline`]: deadline expiry
+//! depends on wall-clock time, so runs that hit a deadline are *not*
+//! guaranteed deterministic (they are guaranteed to terminate).
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -75,200 +75,45 @@ use crate::error::ClaraError;
 pub use crate::diskcache::CacheVerifySummary;
 pub use crate::faults::{FaultKind, FaultPlan};
 
-// ---- options -----------------------------------------------------------
+// ---- configuration -----------------------------------------------------
 
-/// Engine behaviour knobs, installed process-wide with [`configure`] (or
-/// per-run via [`crate::ClaraConfigBuilder::engine`]).
-///
-/// `#[non_exhaustive]`: construct via [`EngineOptions::builder`] or
-/// `EngineOptions::default()` plus the builder.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct EngineOptions {
-    /// Worker count for [`par_map`] stages. `None` = use the machine's
-    /// available parallelism. Overridden by `CLARA_THREADS` and
-    /// [`set_threads`].
-    pub workers: Option<usize>,
-    /// Extra attempts granted to a failing task before it is reported as
-    /// a permanent [`TaskFailure`] (so a task runs at most
-    /// `retries + 1` times). Retries are immediate — no backoff, no
-    /// wall-clock randomness.
-    pub retries: u32,
-    /// Wall-clock budget for one stage. Attempts that would start after
-    /// the stage has run this long fail with
-    /// [`TaskError::DeadlineExceeded`] instead. `None` = no deadline.
-    pub stage_deadline: Option<Duration>,
-    /// Deterministic fault-injection plan. Overridden by `CLARA_FAULTS`.
-    pub faults: Option<FaultPlan>,
-    /// Directory for the persistent artifact cache. `None` disables it.
-    /// Overridden by `CLARA_CACHE_DIR`.
-    pub cache_dir: Option<PathBuf>,
+pub use tinyml::parallel::{set_threads, threads};
+
+/// Extra attempts a failing task gets before it is reported as a
+/// permanent [`TaskFailure`], so a task runs at most three times.
+/// Retries are immediate: no backoff, no wall-clock randomness.
+const RETRY_BUDGET: u32 = 2;
+
+/// The budget [`set_stage_deadline`] installed.
+static STAGE_DEADLINE: Mutex<Option<Duration>> = Mutex::new(None);
+
+/// Sets the wall-clock budget of every engine stage in this process:
+/// an attempt that would start after its stage has run this long fails
+/// with [`TaskError::DeadlineExceeded`] instead. `None` removes it. The
+/// serving daemon installs its request deadline here while it runs.
+pub fn set_stage_deadline(deadline: Option<Duration>) {
+    *STAGE_DEADLINE.lock().expect("deadline poisoned") = deadline;
 }
 
-impl Default for EngineOptions {
-    fn default() -> EngineOptions {
-        EngineOptions {
-            workers: None,
-            retries: 2,
-            stage_deadline: None,
-            faults: None,
-            cache_dir: None,
-        }
-    }
-}
-
-impl EngineOptions {
-    /// Fluent builder seeded with the defaults.
-    pub fn builder() -> EngineOptionsBuilder {
-        EngineOptionsBuilder {
-            opts: EngineOptions::default(),
-        }
-    }
-}
-
-/// Fluent builder for [`EngineOptions`].
-#[derive(Debug, Clone, Default)]
-pub struct EngineOptionsBuilder {
-    opts: EngineOptions,
-}
-
-impl EngineOptionsBuilder {
-    /// Sets the worker count (`None` behaviour: omit the call).
-    #[must_use]
-    pub fn workers(mut self, n: usize) -> Self {
-        self.opts.workers = Some(n);
-        self
-    }
-
-    /// Sets the per-task retry budget.
-    #[must_use]
-    pub fn retries(mut self, n: u32) -> Self {
-        self.opts.retries = n;
-        self
-    }
-
-    /// Sets the per-stage wall-clock deadline.
-    #[must_use]
-    pub fn stage_deadline(mut self, d: Duration) -> Self {
-        self.opts.stage_deadline = Some(d);
-        self
-    }
-
-    /// Sets the fault-injection plan.
-    #[must_use]
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.opts.faults = Some(plan);
-        self
-    }
-
-    /// Sets the persistent cache directory.
-    #[must_use]
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.opts.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Finalizes the options.
-    pub fn build(self) -> EngineOptions {
-        self.opts
-    }
-}
-
-static CONFIGURED: OnceLock<Mutex<EngineOptions>> = OnceLock::new();
-
-/// Installs `opts` as the process-wide engine defaults (environment
-/// overrides still apply on top; see the module docs for precedence).
-///
-/// Also propagates the worker count to [`tinyml::parallel`] — the
-/// in-training pool the LSTM uses for gradient lanes — unless a
-/// [`set_threads`] override is active.
-pub fn configure(opts: &EngineOptions) {
-    *CONFIGURED
-        .get_or_init(Mutex::default)
-        .lock()
-        .expect("options poisoned") = opts.clone();
-    if THREAD_OVERRIDE.load(Ordering::SeqCst) == 0 {
-        tinyml::parallel::set_threads(opts.workers.unwrap_or(0));
-    }
-}
-
-/// The currently configured defaults (before environment overrides).
-pub fn configured() -> EngineOptions {
-    CONFIGURED
-        .get_or_init(Mutex::default)
-        .lock()
-        .expect("options poisoned")
-        .clone()
-}
-
-/// Options with every override applied — the engine's single source of
-/// truth at execution time, resolved fresh per stage so env changes in
-/// tests take effect immediately.
+/// What a stage runs under, read fresh per stage so that changes to the
+/// environment in tests take effect immediately.
 struct Resolved {
-    workers: usize,
-    retries: u32,
     deadline: Option<Duration>,
     faults: Option<FaultPlan>,
     cache: Option<DiskCache>,
 }
 
 fn resolved() -> Resolved {
-    let opts = configured();
-    let faults = std::env::var("CLARA_FAULTS")
-        .ok()
-        .and_then(|s| FaultPlan::parse(&s))
-        .or(opts.faults);
-    let cache = std::env::var("CLARA_CACHE_DIR")
-        .ok()
-        .filter(|s| !s.trim().is_empty())
-        .map(PathBuf::from)
-        .or(opts.cache_dir)
-        .map(DiskCache::new);
     Resolved {
-        workers: threads(),
-        retries: opts.retries,
-        deadline: opts.stage_deadline,
-        faults,
-        cache,
+        deadline: *STAGE_DEADLINE.lock().expect("deadline poisoned"),
+        faults: std::env::var("CLARA_FAULTS")
+            .ok()
+            .and_then(|s| FaultPlan::parse(&s)),
+        cache: std::env::var("CLARA_CACHE_DIR")
+            .ok()
+            .filter(|s| !s.trim().is_empty())
+            .map(|s| DiskCache::new(PathBuf::from(s))),
     }
-}
-
-// ---- worker pool -------------------------------------------------------
-
-/// `set_threads` override; 0 means "not set".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces the worker count for this process, overriding `CLARA_THREADS`
-/// and every configured option. `0` removes the override.
-///
-/// The knob also drives [`tinyml::parallel`], the in-training pool the
-/// LSTM uses for gradient lanes, so one setting governs all workers.
-pub fn set_threads(n: usize) {
-    THREAD_OVERRIDE.store(n, Ordering::SeqCst);
-    tinyml::parallel::set_threads(n);
-}
-
-/// The worker count the engine will use: [`set_threads`] override, else
-/// `CLARA_THREADS`, else [`EngineOptions::workers`], else the machine's
-/// available parallelism.
-pub fn threads() -> usize {
-    let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(v) = std::env::var("CLARA_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    if let Some(n) = configured().workers {
-        if n >= 1 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 // ---- task outcomes -----------------------------------------------------
@@ -448,7 +293,7 @@ fn run_task<R>(
                 }
             }
         };
-        if attempt < res.retries {
+        if attempt < RETRY_BUDGET {
             attempt += 1;
             retries_ctr().incr();
             continue;
@@ -487,63 +332,27 @@ where
     }
     touch_fault_counters();
     let _span = obs::span!(stage, "tasks={}", items.len());
-    // Workers attach their span context here so task-opened spans
-    // (compiles, profiling runs, model fits) nest under this stage
-    // exactly as they would on the calling thread.
+    // Each task attaches its worker thread to this stage's span, so
+    // task-opened spans (compiles, profiling runs, model fits) nest under
+    // the stage exactly as they would on the calling thread.
     let span_parent = _span.handle();
     let started = Instant::now();
-    let workers = res.workers.min(items.len().max(1));
     let busy_ns = AtomicU64::new(0);
-    let run_one = |i: usize, t: &T| -> Result<R, TaskFailure> {
+    let tasks: Vec<(usize, &T)> = items.iter().enumerate().collect();
+    let outcomes = tinyml::parallel::map_ordered(&tasks, |w, &(i, t)| {
+        let _ctx = obs::attach(span_parent);
+        if obs::enabled() {
+            obs::volatile_counter(&format!("engine.worker.{w}.tasks")).incr();
+        }
         let t0 = Instant::now();
         let r = run_task(stage, i, started, res, || f(i, t));
         busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         r
-    };
-
-    let pairs: Vec<(usize, Result<R, TaskFailure>)> = if workers <= 1 {
-        let out = items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, run_one(i, t)))
-            .collect();
-        if obs::enabled() {
-            obs::volatile_counter("engine.worker.0.tasks").add(items.len() as u64);
-        }
-        out
-    } else {
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Result<R, TaskFailure>)>> =
-            Mutex::new(Vec::with_capacity(items.len()));
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let next = &next;
-                let collected = &collected;
-                let run_one = &run_one;
-                s.spawn(move || {
-                    let _ctx = obs::attach(span_parent);
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, run_one(i, item)));
-                    }
-                    if obs::enabled() {
-                        obs::volatile_counter(&format!("engine.worker.{w}.tasks"))
-                            .add(local.len() as u64);
-                    }
-                    collected.lock().expect("worker poisoned").extend(local);
-                });
-            }
-        });
-        let mut pairs = collected.into_inner().expect("worker poisoned");
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        pairs
-    };
+    });
 
     let mut results = Vec::with_capacity(items.len());
     let mut failures = Vec::new();
-    for (_, r) in pairs {
+    for r in outcomes {
         match r {
             Ok(v) => results.push(Some(v)),
             Err(failure) => {
@@ -689,8 +498,7 @@ pub fn value_fingerprint<T: Serialize>(v: &T) -> u64 {
 /// Handle on the process-global engine: the cache surface plus stats and
 /// integrity checks. The handle is zero-sized — it exists so the cache
 /// API has a receiver that can grow state later without another surface
-/// change — and honours whatever [`configure`] and the environment
-/// overrides say at each call.
+/// change — and honours whatever the environment says at each call.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Engine {
     _priv: (),
@@ -775,12 +583,6 @@ impl Engine {
     /// Reads the current [`EngineStats`].
     pub fn stats(&self) -> EngineStats {
         EngineStats::snapshot()
-    }
-
-    /// The configured defaults this handle operates under (environment
-    /// overrides are applied per call, not reflected here).
-    pub fn options(&self) -> EngineOptions {
-        configured()
     }
 
     /// Checks every artifact in the resolved cache directory against its
@@ -1197,11 +999,6 @@ impl EngineStats {
             s.lock().expect("stats poisoned").clear();
         }
     }
-
-    /// Total wall-clock time across stages.
-    pub fn total_wall(&self) -> Duration {
-        self.stages.iter().map(|(_, s)| s.wall).sum()
-    }
 }
 
 impl std::fmt::Display for EngineStats {
@@ -1243,14 +1040,13 @@ impl std::fmt::Display for EngineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
-    /// Explicit options for exercising the task machinery without
-    /// touching the process-global configuration (other unit tests call
-    /// `Clara::train`, which calls [`configure`], concurrently).
-    fn local(workers: usize, retries: u32, faults: Option<FaultPlan>) -> Resolved {
+    /// Explicit faults and no deadline or disk cache, for exercising the
+    /// task machinery without touching the process environment (other
+    /// unit tests train and profile concurrently).
+    fn local(faults: Option<FaultPlan>) -> Resolved {
         Resolved {
-            workers,
-            retries,
             deadline: None,
             faults,
             cache: None,
@@ -1339,15 +1135,17 @@ mod tests {
             "test-fault-budget",
             &items,
             &|i, &x| x * 7 + i as u64,
-            &local(1, 2, None),
+            &local(None),
         );
         for workers in [1, 4] {
+            set_threads(workers);
             let faulted = par_map_with(
                 "test-fault-budget",
                 &items,
                 &|i, &x| x * 7 + i as u64,
-                &local(workers, 2, Some(plan.clone())),
+                &local(Some(plan.clone())),
             );
+            set_threads(0);
             assert!(
                 faulted.is_complete(),
                 "within-budget faults must all retry out"
@@ -1367,12 +1165,9 @@ mod tests {
             ..FaultPlan::new(23, 0.4)
         };
         let before = task_failures_ctr().value();
-        let out = par_map_with(
-            "test-fault-perm",
-            &items,
-            &|_, &x| x,
-            &local(4, 2, Some(plan.clone())),
-        );
+        set_threads(4);
+        let out = par_map_with("test-fault-perm", &items, &|_, &x| x, &local(Some(plan)));
+        set_threads(0);
         assert!(
             !out.failures.is_empty(),
             "a 40% plan over 40 tasks must select some"
@@ -1380,7 +1175,7 @@ mod tests {
         assert_eq!(out.results.len(), items.len());
         for failure in &out.failures {
             assert_eq!(failure.stage, "test-fault-perm");
-            assert_eq!(failure.attempts, 3, "retries=2 means exactly 3 attempts");
+            assert_eq!(failure.attempts, 3, "two retries mean exactly 3 attempts");
             assert!(out.results[failure.index].is_none());
             assert!(matches!(failure.error, TaskError::Injected { .. }));
         }
@@ -1401,7 +1196,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let res = Resolved {
             deadline: Some(Duration::ZERO),
-            ..local(1, 2, None)
+            ..local(None)
         };
         let out = par_map_with(
             "test-deadline",
@@ -1422,6 +1217,7 @@ mod tests {
 
     #[test]
     fn genuine_panics_are_isolated_and_reported() {
+        set_threads(2);
         let out = par_map_with(
             "test-panic",
             &[0u32, 1, 2, 3],
@@ -1429,35 +1225,14 @@ mod tests {
                 assert!(x != 2, "task two explodes");
                 x * 10
             },
-            &local(2, 1, None),
+            &local(None),
         );
+        set_threads(0);
         assert_eq!(out.failures.len(), 1);
         let f = &out.failures[0];
         assert_eq!(f.index, 2);
-        assert_eq!(f.attempts, 2);
+        assert_eq!(f.attempts, 3);
         assert!(matches!(&f.error, TaskError::Panicked { detail } if detail.contains("explodes")));
         assert_eq!(out.results[3], Some(30));
-    }
-
-    #[test]
-    fn engine_options_builder_round_trips() {
-        let plan = FaultPlan::new(3, 0.1);
-        let opts = EngineOptions::builder()
-            .workers(8)
-            .retries(5)
-            .stage_deadline(Duration::from_secs(30))
-            .faults(plan.clone())
-            .cache_dir("/tmp/clara-cache")
-            .build();
-        assert_eq!(opts.workers, Some(8));
-        assert_eq!(opts.retries, 5);
-        assert_eq!(opts.stage_deadline, Some(Duration::from_secs(30)));
-        assert_eq!(opts.faults, Some(plan));
-        assert_eq!(
-            opts.cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/clara-cache"))
-        );
-        let d = EngineOptions::default();
-        assert_eq!((d.workers, d.retries), (None, 2));
     }
 }

@@ -8,9 +8,8 @@
 //! whose failures stay within the retry budget produces bit-identical
 //! results to a fault-free run, which `tests/engine_determinism.rs` pins.
 //!
-//! Plans come from [`crate::engine::EngineOptions`] or the
-//! `CLARA_FAULTS=<seed>:<rate>[:<depth>]` environment override (parsed in
-//! `crates/core/src/engine.rs`, the workspace's single env-read site).
+//! Plans come from the `CLARA_FAULTS=<seed>:<rate>[:<depth>]` environment
+//! variable, which [`crate::engine`] reads at the start of every stage.
 
 use std::sync::Once;
 

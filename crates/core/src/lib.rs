@@ -68,7 +68,7 @@ pub use clara::{
 };
 pub use coloc::{pair_interference, representative_profile, PairInterference};
 pub use difftest::{DifftestConfig, DifftestReport, Divergence, DivergenceKind};
-pub use engine::{Engine, EngineOptions, EngineOptionsBuilder};
+pub use engine::Engine;
 pub use error::{ClaraError, PlacementFailure};
 pub use faults::{FaultKind, FaultPlan};
 pub use nic_sim::{NicConfig, PortConfig, WorkloadProfile};

@@ -95,11 +95,6 @@ pub fn prepare_module(module: &Module) -> PreparedModule {
     }
 }
 
-/// Prepares a whole corpus on the engine's worker pool, in corpus order.
-pub fn prepare_corpus(modules: &[Module]) -> Vec<PreparedModule> {
-    crate::engine::par_map("prepare", modules, |_, m| prepare_module(m))
-}
-
 impl PreparedModule {
     /// Total IR memory instructions that become NIC memory commands
     /// (stateful + packet accesses) — the count Clara reports directly

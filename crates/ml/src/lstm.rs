@@ -592,7 +592,7 @@ impl LstmRegressor {
                     (&chunk[lo..(lo + lane_size).min(chunk.len())], &lanes[k])
                 });
                 let model = &*self;
-                crate::parallel::map_ordered(&jobs[..used], |&(samples, lane)| {
+                crate::parallel::map_ordered(&jobs[..used], |_, &(samples, lane)| {
                     lane.lock()
                         .expect("lane poisoned")
                         .accumulate(model, samples, seqs, &ys);

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use crate::inst::{Inst, MemRef, Operand, Term};
-use crate::module::{Block, Function};
+use crate::module::Block;
 
 /// One word of the abstract instruction vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -118,11 +118,6 @@ pub fn abstract_block(block: &Block) -> Vec<AbstractToken> {
     let mut seq: Vec<AbstractToken> = block.insts.iter().map(abstract_inst).collect();
     seq.push(abstract_term(&block.term));
     seq
-}
-
-/// Abstracts every block of a function.
-pub fn abstract_function(func: &Function) -> Vec<Vec<AbstractToken>> {
-    func.blocks.iter().map(abstract_block).collect()
 }
 
 /// A closed token vocabulary mapping tokens to dense indices.

@@ -39,14 +39,6 @@ impl Operand {
             Operand::Const(_) => None,
         }
     }
-
-    /// Returns the constant if this operand is an immediate.
-    pub fn as_const(self) -> Option<i64> {
-        match self {
-            Operand::Value(_) => None,
-            Operand::Const(c) => Some(c),
-        }
-    }
 }
 
 impl From<ValueId> for Operand {
@@ -121,11 +113,6 @@ impl BinOp {
     /// Is this a shift operation (fusable into the NIC ALU's shifter)?
     pub fn is_shift(self) -> bool {
         matches!(self, BinOp::Shl | BinOp::LShr | BinOp::AShr)
-    }
-
-    /// Is this a bitwise operation (`and`/`or`/`xor`)?
-    pub fn is_bitwise(self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or | BinOp::Xor)
     }
 
     /// All binary operations.
@@ -449,14 +436,6 @@ impl MemRef {
     /// Shorthand for a packet-field reference.
     pub fn pkt(field: PktField) -> MemRef {
         MemRef::Pkt { field }
-    }
-
-    /// Returns the global id if this reference targets a global.
-    pub fn as_global(&self) -> Option<GlobalId> {
-        match self {
-            MemRef::Global { global, .. } => Some(*global),
-            _ => None,
-        }
     }
 }
 

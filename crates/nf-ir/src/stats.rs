@@ -50,13 +50,6 @@ impl ModuleStats {
         s
     }
 
-    /// Computes statistics for a single function.
-    pub fn of_function(func: &Function) -> ModuleStats {
-        let mut s = ModuleStats::default();
-        s.accumulate_function(func);
-        s
-    }
-
     fn accumulate_function(&mut self, func: &Function) {
         self.blocks += func.blocks.len();
         self.loops += crate::cfg::Cfg::build(func).loop_count();
@@ -75,11 +68,6 @@ impl ModuleStats {
                 }
             }
         }
-    }
-
-    /// All memory accesses regardless of region.
-    pub fn total_mem(&self) -> usize {
-        self.stack_mem + self.stateful_mem + self.packet_mem
     }
 
     /// The token histogram as a normalized probability distribution,

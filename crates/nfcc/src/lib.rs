@@ -257,11 +257,6 @@ impl NicFunction {
     pub fn total_compute(&self) -> u32 {
         self.blocks.iter().map(NicBlock::compute_count).sum()
     }
-
-    /// Total memory instructions over all blocks.
-    pub fn total_mem(&self) -> u32 {
-        self.blocks.iter().map(NicBlock::mem_count).sum()
-    }
 }
 
 /// A compiled module.

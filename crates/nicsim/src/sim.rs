@@ -39,16 +39,6 @@ impl Simulation {
         profile_workload(&self.module, trace, port, &self.cfg, |_| {})
     }
 
-    /// Profiles with a state-setup hook (rule installation etc.).
-    pub fn profile_with(
-        &self,
-        trace: &Trace,
-        port: &PortConfig,
-        setup: impl FnOnce(&mut Machine),
-    ) -> WorkloadProfile {
-        profile_workload(&self.module, trace, port, &self.cfg, setup)
-    }
-
     /// Simulates one operating point.
     pub fn run(&self, trace: &Trace, port: &PortConfig, cores: u32) -> PerfPoint {
         solve_perf(&self.profile(trace, port), &self.cfg, port, cores)

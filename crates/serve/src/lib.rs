@@ -23,9 +23,10 @@
 //! - **micro-batching** — adjacent queued `predict` requests coalesce
 //!   into one [`clara_core::Clara::predict_batch_on_prec_cached`] call,
 //!   i.e. one engine `par_map` stage instead of N;
-//! - **deadlines** — a per-request budget (reusing
-//!   [`clara_core::EngineOptions::stage_deadline`] for the engine side)
-//!   turns queue-stuck requests into typed `deadline` errors;
+//! - **deadlines** — a per-request budget (installed with
+//!   [`clara_core::engine::set_stage_deadline`] for the engine side while
+//!   the server runs) turns queue-stuck requests into typed `deadline`
+//!   errors;
 //! - **graceful drain** — a `drain` request (or SIGTERM on the CLI)
 //!   stops admission, finishes everything in flight, and answers with a
 //!   final deterministic [`clara_obs::RunReport`].

@@ -92,7 +92,8 @@ pub struct ServeOptions {
     /// also the deficit-round-robin quantum.
     pub batch_max: usize,
     /// Per-request budget measured from enqueue. Also installed as the
-    /// engine's `stage_deadline` so a wedged stage is cut short too.
+    /// engine's stage deadline until [`ServerHandle::join`], so a wedged
+    /// stage is cut short too.
     pub deadline: Option<Duration>,
     /// Built-in device backends held warm for per-request routing. The
     /// first entry serves requests that name no backend. Empty: the
@@ -356,8 +357,9 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds, spawns the worker pool and the acceptor, and returns
-    /// immediately.
+    /// Binds, installs `opts.deadline` (`None` included) as the engine's
+    /// stage deadline, spawns the worker pool and the acceptor, and
+    /// returns immediately.
     ///
     /// # Errors
     ///
@@ -394,11 +396,7 @@ impl Server {
             });
         }
 
-        if let Some(d) = opts.deadline {
-            let mut eo = engine::configured();
-            eo.stage_deadline = Some(d);
-            engine::configure(&eo);
-        }
+        engine::set_stage_deadline(opts.deadline);
 
         obs::enable();
         let root_guard = obs::span("clara-serve");
@@ -508,7 +506,8 @@ impl ServerHandle {
     }
 
     /// Waits for the acceptor and workers to exit (i.e. for a drain to
-    /// complete), closes the root span, writes a final run report when a
+    /// complete), clears the engine stage deadline the server installed,
+    /// closes the root span, writes a final run report when a
     /// `CLARA_REPORT` sink is configured, and returns the lifetime
     /// summary.
     pub fn join(mut self) -> ServeSummary {
@@ -516,6 +515,7 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             w.join().expect("worker thread panicked");
         }
+        engine::set_stage_deadline(None);
         if let Some(path) = &self.uds_path {
             let _ = std::fs::remove_file(path);
         }

@@ -8,6 +8,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The semantics oracle's self-check: exits 0 only when the injected
+# miscompile is caught and shrunk to at most 3 blocks.
+./target/release/clara difftest --smoke
 cargo test -q
 # The LSTM training kernel's bit-identity tests (blocked matvec, sparse
 # wx merge, pinned weights) also run in the optimized build: that build

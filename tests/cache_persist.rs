@@ -10,15 +10,16 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use clara_repro::clara::engine::{self, Engine, EngineOptions};
+use clara_repro::clara::engine::{self, Engine};
 use clara_repro::clara::ClaraError;
 use clara_repro::ir::Module;
 use clara_repro::nicsim::{NicConfig, PortConfig};
 use clara_repro::obs;
 use clara_repro::trafgen::WorkloadSpec;
 
-/// Engine configuration, caches, and the obs registry are process
-/// globals; tests in this binary serialize on this lock.
+/// The engine's environment, worker count and caches, and the obs
+/// registry are process globals; tests in this binary serialize on this
+/// lock.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Takes [`ENGINE_LOCK`], ignoring poison: one test's failure must report
@@ -54,7 +55,8 @@ fn warm_cache_run_recomputes_nothing_and_reports_identically() {
     let workloads = [WorkloadSpec::large_flows()];
     let cfg = NicConfig::default();
     let port = PortConfig::naive();
-    engine::configure(&EngineOptions::builder().workers(2).cache_dir(&dir).build());
+    engine::set_threads(2);
+    std::env::set_var("CLARA_CACHE_DIR", &dir);
 
     let run = || {
         Engine::new().clear_caches();
@@ -79,7 +81,8 @@ fn warm_cache_run_recomputes_nothing_and_reports_identically() {
     );
 
     let (warm_profiles, warm_report, warm_before, warm_after) = run();
-    engine::configure(&EngineOptions::default());
+    std::env::remove_var("CLARA_CACHE_DIR");
+    engine::set_threads(0);
     assert_eq!(
         warm_after.disk_recomputes, warm_before.disk_recomputes,
         "warm run must recompute nothing"
@@ -112,7 +115,8 @@ fn disk_cache_isolates_backends() {
     let modules = elements();
     let trace = clara_repro::trafgen::Trace::generate(&WorkloadSpec::large_flows(), 50, 5);
     let port = PortConfig::naive();
-    engine::configure(&EngineOptions::builder().workers(1).cache_dir(&dir).build());
+    engine::set_threads(1);
+    std::env::set_var("CLARA_CACHE_DIR", &dir);
     let agilio = hal::builtin("agilio-cx").expect("builtin");
     let wimpy = hal::builtin("wimpy-onpath").expect("builtin");
 
@@ -175,7 +179,8 @@ fn disk_cache_isolates_backends() {
             .any(|(a, w)| (a.compute - w.compute).abs() > 0.0),
         "backends with different accelerator tables must cost differently"
     );
-    engine::configure(&EngineOptions::default());
+    std::env::remove_var("CLARA_CACHE_DIR");
+    engine::set_threads(0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -187,7 +192,8 @@ fn corrupt_artifacts_recompute_silently_and_fail_verify_loudly() {
     let workloads = [WorkloadSpec::large_flows()];
     let cfg = NicConfig::default();
     let port = PortConfig::naive();
-    engine::configure(&EngineOptions::builder().workers(1).cache_dir(&dir).build());
+    engine::set_threads(1);
+    std::env::set_var("CLARA_CACHE_DIR", &dir);
 
     Engine::new().clear_caches();
     let cold = engine::profile_matrix(&modules, &workloads, 40, 9, &port, &cfg);
@@ -247,7 +253,8 @@ fn corrupt_artifacts_recompute_silently_and_fail_verify_loudly() {
         .expect("a cache directory is configured");
     assert_eq!(healed.valid, healed.scanned);
     assert!(healed.corrupt.is_empty());
-    engine::configure(&EngineOptions::default());
+    std::env::remove_var("CLARA_CACHE_DIR");
+    engine::set_threads(0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -255,7 +262,6 @@ fn corrupt_artifacts_recompute_silently_and_fail_verify_loudly() {
 fn clara_cache_dir_env_override_reaches_the_engine() {
     let _g = engine_lock();
     let dir = tmp_dir("env");
-    engine::configure(&EngineOptions::default());
     std::env::set_var("CLARA_CACHE_DIR", &dir);
     Engine::new().clear_caches();
     let modules = elements();
@@ -285,7 +291,6 @@ fn clara_cache_dir_env_override_reaches_the_engine() {
 #[test]
 fn separate_engine_handles_share_the_process_global_caches() {
     let _g = engine_lock();
-    engine::configure(&EngineOptions::default());
     let module = elements().remove(0);
     let trace = clara_repro::trafgen::Trace::generate(&WorkloadSpec::large_flows(), 40, 2);
     let port = PortConfig::naive();
@@ -318,7 +323,6 @@ fn separate_engine_handles_share_the_process_global_caches() {
 #[test]
 fn profile_cache_stops_growing_at_its_cap() {
     let _g = engine_lock();
-    engine::configure(&EngineOptions::default());
     let engine = Engine::new();
     engine.clear_caches();
     let module = elements().remove(0);

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use clara_repro::clara::engine::{self, Engine, EngineOptions};
+use clara_repro::clara::engine::{self, Engine};
 use clara_repro::nicsim::{NicConfig, PortConfig};
 use clara_repro::trafgen::WorkloadSpec;
 
@@ -28,10 +28,11 @@ fn cache_verify(dir: Option<&PathBuf>) -> std::process::Output {
     cmd.output().expect("spawn clara cache-verify")
 }
 
-/// Profiles a couple of corpus elements with the disk cache pointed at
-/// `dir`, then restores default engine options.
+/// Profiles a couple of corpus elements on one engine worker with the
+/// disk cache pointed at `dir`, then restores the engine's defaults.
 fn populate(dir: &PathBuf) {
-    engine::configure(&EngineOptions::builder().workers(1).cache_dir(dir).build());
+    engine::set_threads(1);
+    std::env::set_var("CLARA_CACHE_DIR", dir);
     Engine::new().clear_caches();
     let modules: Vec<_> = ["aggcounter", "cmsketch"]
         .iter()
@@ -51,7 +52,8 @@ fn populate(dir: &PathBuf) {
         &PortConfig::naive(),
         &NicConfig::default(),
     );
-    engine::configure(&EngineOptions::default());
+    std::env::remove_var("CLARA_CACHE_DIR");
+    engine::set_threads(0);
 }
 
 #[test]

@@ -166,38 +166,31 @@ fn deterministic_run_report_is_byte_identical_across_worker_counts() {
 /// attempt replays the exact same pure computation.
 #[test]
 fn faulted_training_within_retry_budget_is_bit_identical_to_fault_free() {
-    use clara_repro::clara::engine::{EngineOptions, FaultPlan};
     use clara_repro::clara::{Clara, ClaraConfig};
     let _g = threads_lock();
-    let small = |engine: EngineOptions| {
-        ClaraConfig::fast(29)
-            .to_builder()
-            .predict_programs(10)
-            .algid_per_class(6)
-            .scaleout_programs(3)
-            .epochs(3)
-            .engine(engine)
-            .build()
-    };
-    // depth 2 ≤ retries 2: every selected task faults twice, then its
-    // third attempt succeeds — nothing fails permanently.
-    let plan = {
-        let mut p = FaultPlan::new(61, 0.35);
-        p.depth = 2;
-        p
-    };
-    let faulted_opts = EngineOptions::builder().retries(2).faults(plan).build();
+    let small = ClaraConfig::fast(29)
+        .to_builder()
+        .predict_programs(10)
+        .algid_per_class(6)
+        .scaleout_programs(3)
+        .epochs(3)
+        .build();
 
     engine::set_threads(1);
     engine::Engine::new().clear_caches();
-    let clean = Clara::train(&small(EngineOptions::default())).expect("fault-free train");
+    let clean = Clara::train(&small).expect("fault-free train");
     let clean_fp = engine::value_fingerprint(&clean);
 
     for threads in [1usize, 4] {
         engine::set_threads(threads);
         engine::Engine::new().clear_caches();
-        let faulted = Clara::train(&small(faulted_opts.clone()))
-            .expect("within-budget faults must retry out");
+        // Seed 61, rate 0.35, depth 2 ≤ 2 retries: every selected task
+        // faults twice, then its third attempt succeeds — nothing fails
+        // permanently.
+        std::env::set_var("CLARA_FAULTS", "61:0.35:2");
+        let faulted = Clara::train(&small);
+        std::env::remove_var("CLARA_FAULTS");
+        let faulted = faulted.expect("within-budget faults must retry out");
         let stats = engine::EngineStats::snapshot();
         assert!(
             stats.faults_injected > 0,
@@ -209,8 +202,6 @@ fn faulted_training_within_retry_budget_is_bit_identical_to_fault_free() {
             "faulted pipeline diverged from fault-free run at {threads} worker(s)"
         );
     }
-    // Restore the default engine configuration for the other tests.
-    engine::configure(&EngineOptions::default());
     engine::set_threads(0);
 }
 

@@ -235,13 +235,12 @@ fn analyze_matches_the_two_pass_path() {
 /// byte-identically.
 #[test]
 fn warm_disk_analyze_reports_as_a_cold_one() {
-    use clara_repro::clara::EngineOptions;
     use clara_repro::obs;
     let _g = lock();
     let clara = clara();
     let dir = std::env::temp_dir().join(format!("clara_one_pass_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    engine::configure(&EngineOptions::builder().cache_dir(&dir).build());
+    std::env::set_var("CLARA_CACHE_DIR", &dir);
     let trace = Trace::generate(&WorkloadSpec::large_flows(), 120, 5);
     for e in clara_repro::click::extended_corpus() {
         let run = || {
@@ -262,7 +261,7 @@ fn warm_disk_analyze_reports_as_a_cold_one() {
         assert_eq!(cold.1, Some(1), "{}: one pass", e.name());
         assert_eq!(cold, warm, "{}: cold vs warm disk", e.name());
     }
-    engine::configure(&EngineOptions::default());
+    std::env::remove_var("CLARA_CACHE_DIR");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,12 +11,12 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use clara_repro::clara::engine::{self, EngineOptions, FaultPlan};
+use clara_repro::clara::engine;
 use clara_repro::nicsim::{self, NicConfig, PortConfig};
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
-/// The engine configuration and caches are process globals; tests in this
-/// binary serialize on this lock.
+/// The engine's environment, worker count and caches are process
+/// globals; tests in this binary serialize on this lock.
 static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Takes [`ENGINE_LOCK`], ignoring poison: one test's failure must report
@@ -64,19 +64,17 @@ proptest! {
         let items: Vec<u64> = (0..48).collect();
         let work = |i: usize, x: &u64| x.wrapping_mul(0x9e3779b97f4a7c15) ^ i as u64;
 
-        engine::configure(&EngineOptions::default());
         let clean = engine::try_par_map("proptest-faults", &items, work);
         prop_assert!(clean.is_complete());
         let clean: Vec<u64> = clean.successes();
 
-        // depth 2 ≤ retries 2: every selected task faults on its first
+        // depth 2 ≤ 2 retries: every selected task faults on its first
         // two attempts and must succeed on the third.
-        let plan = { let mut p = FaultPlan::new(plan_seed, rate); p.depth = 2; p };
-        engine::configure(
-            &EngineOptions::builder().workers(workers).retries(2).faults(plan).build(),
-        );
+        engine::set_threads(workers);
+        std::env::set_var("CLARA_FAULTS", format!("{plan_seed}:{rate}:2"));
         let faulted = engine::try_par_map("proptest-faults", &items, work);
-        engine::configure(&EngineOptions::default());
+        std::env::remove_var("CLARA_FAULTS");
+        engine::set_threads(0);
 
         prop_assert!(
             faulted.failures.is_empty(),

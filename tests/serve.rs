@@ -13,7 +13,9 @@
 //! enqueuers always terminates with every admitted job answered;
 //! (g) the UDS frame transport serves bytes identical to TCP lines;
 //! (h) a request nested past the JSON depth bound is a typed
-//! `bad_request` on both codecs, and the connection keeps serving.
+//! `bad_request` on both codecs, and the connection keeps serving;
+//! (i) a zero deadline answers queued work with typed `deadline`
+//! errors, and the engine deadline it installs ends with its server.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -1541,4 +1543,69 @@ fn deeply_nested_request_is_a_typed_bad_request_on_both_codecs() {
     handle.drain();
     let summary = handle.join();
     assert_eq!(summary.errors, 2, "both refusals are counted");
+}
+
+/// (i) With a zero deadline every queued request expires before a worker
+/// takes it: each gets the typed `deadline` error and counts in `errors`,
+/// and `served + errors` reconciles at drain. The server installs the
+/// deadline as the engine's stage deadline too, and `join` clears it, so
+/// a later server without a deadline serves normally.
+#[test]
+fn zero_deadline_rejects_queued_work_and_ends_with_its_server() {
+    let _g = serve_lock();
+    let start_with = |deadline| {
+        Server::start(
+            ServeOptions {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                queue_cap: 16,
+                batch_max: 4,
+                deadline,
+                ..ServeOptions::default()
+            },
+            clara(),
+        )
+        .expect("server binds an ephemeral port")
+    };
+
+    let handle = start_with(Some(std::time::Duration::ZERO));
+    let mut conn = Conn::open(handle.addr());
+    let mut lines: Vec<String> = (0..3)
+        .map(|i| predict_req(i, "cmsketch", 80, 7100 + i).0)
+        .collect();
+    let (_, analyze) = predict_req(3, "aggcounter", 80, 7103);
+    lines.push(protocol::render_request(
+        Some(3),
+        &Request::Analyze(analyze),
+    ));
+    for line in &lines {
+        let resp = conn.send(line);
+        assert!(
+            resp.contains(r#""error":"deadline""#),
+            "queued work past its budget is a typed deadline error: {resp}"
+        );
+    }
+    let stats = conn.send(&protocol::render_request(None, &Request::Stats));
+    assert_eq!(stat_u64(&stats, "errors"), lines.len() as u64);
+    assert_eq!(stat_u64(&stats, "served"), 0);
+    let drained = conn.send(&protocol::render_request(Some(9), &Request::Drain));
+    assert_eq!(stat_u64(&drained, "served"), 0, "{drained}");
+    let summary = handle.join();
+    assert_eq!(
+        (summary.served, summary.errors),
+        (0, lines.len() as u64),
+        "served + errors reconciles with the requests sent"
+    );
+
+    let handle = start_with(None);
+    let mut conn = Conn::open(handle.addr());
+    let (line, _) = predict_req(10, "cmsketch", 80, 7110);
+    let resp = conn.send(&line);
+    assert!(
+        resp.contains("\"ok\":true"),
+        "a server without a deadline serves normally: {resp}"
+    );
+    handle.drain();
+    let summary = handle.join();
+    assert_eq!((summary.served, summary.errors), (1, 0));
 }
