@@ -34,8 +34,9 @@
 //! [`tinyml::parallel::threads`], the one place the workspace decides its
 //! worker count, which this module re-exports as [`threads`] together
 //! with the [`set_threads`] override. A failing task is retried twice.
-//! The one setting made in code is [`set_stage_deadline`], which the
-//! serving daemon installs while it runs.
+//! The one setting made in code is [`set_stage_deadline`], which holds
+//! for the stages its calling thread starts; each serving daemon worker
+//! installs its server's request deadline there.
 //!
 //! # Determinism
 //!
@@ -53,6 +54,7 @@
 //! depends on wall-clock time, so runs that hit a deadline are *not*
 //! guaranteed deterministic (they are guaranteed to terminate).
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -84,15 +86,19 @@ pub use tinyml::parallel::{set_threads, threads};
 /// Retries are immediate: no backoff, no wall-clock randomness.
 const RETRY_BUDGET: u32 = 2;
 
-/// The budget [`set_stage_deadline`] installed.
-static STAGE_DEADLINE: Mutex<Option<Duration>> = Mutex::new(None);
+thread_local! {
+    /// The budget [`set_stage_deadline`] installed on this thread.
+    static STAGE_DEADLINE: Cell<Option<Duration>> = const { Cell::new(None) };
+}
 
-/// Sets the wall-clock budget of every engine stage in this process:
-/// an attempt that would start after its stage has run this long fails
-/// with [`TaskError::DeadlineExceeded`] instead. `None` removes it. The
-/// serving daemon installs its request deadline here while it runs.
+/// Sets the wall-clock budget of every engine stage the calling thread
+/// starts: an attempt that would start after its stage has run this
+/// long fails with [`TaskError::DeadlineExceeded`] instead. `None`
+/// removes it. The budget is the calling thread's alone, and a stage's
+/// tasks run under the budget of the thread that started the stage. Each
+/// serving daemon worker installs its server's request deadline here.
 pub fn set_stage_deadline(deadline: Option<Duration>) {
-    *STAGE_DEADLINE.lock().expect("deadline poisoned") = deadline;
+    STAGE_DEADLINE.with(|d| d.set(deadline));
 }
 
 /// What a stage runs under, read fresh per stage so that changes to the
@@ -105,7 +111,7 @@ struct Resolved {
 
 fn resolved() -> Resolved {
     Resolved {
-        deadline: *STAGE_DEADLINE.lock().expect("deadline poisoned"),
+        deadline: STAGE_DEADLINE.with(Cell::get),
         faults: std::env::var("CLARA_FAULTS")
             .ok()
             .and_then(|s| FaultPlan::parse(&s)),

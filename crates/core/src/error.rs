@@ -73,10 +73,9 @@ pub enum ClaraError {
         /// Tasks the run attempted in total.
         total: usize,
     },
-    /// The serving layer failed: the daemon could not bind its address,
-    /// a client could not reach or keep a connection to the server, or
-    /// the load generator saw unexpected (non-`overloaded`) request
-    /// failures.
+    /// The serving daemon could not set up a listener: it could not bind
+    /// its TCP address or Unix-socket path, or could not configure the
+    /// bound socket.
     Serve {
         /// Human-readable description.
         detail: String,
@@ -150,10 +149,10 @@ impl ClaraError {
     /// The mapping is part of the CLI contract (documented in `--help`):
     /// `2` usage errors, `3` degraded runs, `4` cache corruption, `5`
     /// I/O failures, `6` difftest divergences, `7` serve failures
-    /// (bind/connect/unexpected request errors), `8` invalid device
-    /// manifests or unknown backends, `9` quantization-tolerance
-    /// violations, `10` placement failures (infeasible instance, solver
-    /// timeout, unknown NF), `1` everything else.
+    /// (bind), `8` invalid device manifests or unknown backends, `9`
+    /// quantization-tolerance violations, `10` placement failures
+    /// (infeasible instance, solver timeout, unknown NF), `1` everything
+    /// else.
     pub fn exit_code(&self) -> i32 {
         match self {
             ClaraError::Degraded { .. } => 3,

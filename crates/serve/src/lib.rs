@@ -23,10 +23,11 @@
 //! - **micro-batching** — adjacent queued `predict` requests coalesce
 //!   into one [`clara_core::Clara::predict_batch_on_prec_cached`] call,
 //!   i.e. one engine `par_map` stage instead of N;
-//! - **deadlines** — a per-request budget (installed with
-//!   [`clara_core::engine::set_stage_deadline`] for the engine side while
-//!   the server runs) turns queue-stuck requests into typed `deadline`
-//!   errors;
+//! - **deadlines** — a per-request budget turns queue-stuck requests
+//!   into typed `deadline` errors; each worker thread also installs it
+//!   as its own engine stage deadline
+//!   ([`clara_core::engine::set_stage_deadline`]), so a wedged stage is
+//!   cut short without touching another server's stages;
 //! - **graceful drain** — a `drain` request (or SIGTERM on the CLI)
 //!   stops admission, finishes everything in flight, and answers with a
 //!   final deterministic [`clara_obs::RunReport`].
@@ -42,17 +43,14 @@
 //!
 //! The wire protocol is versioned JSON over TCP lines or UDS frames
 //! (see [`protocol`] and [`transport`]). [`server`] hosts the daemon
-//! (in-process startable for tests), and [`client`] is the load
-//! generator behind `clara bench-serve`.
+//! (in-process startable for tests). Load generation lives outside the
+//! library, in the `clara-perf` harness.
 
-pub mod client;
 pub mod protocol;
 pub mod server;
 pub mod tenant;
 pub mod transport;
 
-pub use client::{run_bench, BenchOptions, BenchSummary, FairnessReport, MatrixCell};
 pub use protocol::{RegisterSpec, Request, WorkSpec, PROTOCOL_VERSION};
 pub use server::{ServeOptions, ServeSummary, Server, ServerHandle};
 pub use tenant::{Registry, Tenant, TenantStats, DEFAULT_TENANT};
-pub use transport::Transport;

@@ -91,9 +91,10 @@ pub struct ServeOptions {
     /// Most `predict` jobs coalesced into one batched engine stage;
     /// also the deficit-round-robin quantum.
     pub batch_max: usize,
-    /// Per-request budget measured from enqueue. Also installed as the
-    /// engine's stage deadline until [`ServerHandle::join`], so a wedged
-    /// stage is cut short too.
+    /// Per-request budget measured from enqueue. Each worker thread also
+    /// installs it as the engine stage deadline of the stages it starts,
+    /// so a wedged stage is cut short too, and another server in the
+    /// same process keeps its own budget.
     pub deadline: Option<Duration>,
     /// Built-in device backends held warm for per-request routing. The
     /// first entry serves requests that name no backend. Empty: the
@@ -357,9 +358,8 @@ pub struct ServerHandle {
 }
 
 impl Server {
-    /// Binds, installs `opts.deadline` (`None` included) as the engine's
-    /// stage deadline, spawns the worker pool and the acceptor, and
-    /// returns immediately.
+    /// Binds, spawns the worker pool and the acceptor, and returns
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -395,8 +395,6 @@ impl Server {
                 detail: format!("unix-domain sockets are not available on this platform ({path})"),
             });
         }
-
-        engine::set_stage_deadline(opts.deadline);
 
         obs::enable();
         let root_guard = obs::span("clara-serve");
@@ -506,8 +504,7 @@ impl ServerHandle {
     }
 
     /// Waits for the acceptor and workers to exit (i.e. for a drain to
-    /// complete), clears the engine stage deadline the server installed,
-    /// closes the root span, writes a final run report when a
+    /// complete), closes the root span, writes a final run report when a
     /// `CLARA_REPORT` sink is configured, and returns the lifetime
     /// summary.
     pub fn join(mut self) -> ServeSummary {
@@ -515,7 +512,6 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             w.join().expect("worker thread panicked");
         }
-        engine::set_stage_deadline(None);
         if let Some(path) = &self.uds_path {
             let _ = std::fs::remove_file(path);
         }
@@ -1285,6 +1281,7 @@ fn pop_batch(
 }
 
 fn worker_loop(s: &Arc<Shared>, worker: usize) {
+    engine::set_stage_deadline(s.opts.deadline);
     loop {
         let batch = {
             let mut qs = s.queue.lock().expect("queue poisoned");

@@ -13,39 +13,12 @@
 //!   one `write` per frame. Local-only; skips the TCP/IP stack
 //!   entirely.
 //!
-//! The payload bytes are identical on both — `bench-serve --matrix`
-//! exists to quantify the difference, not to fork the protocol. On
-//! both, a request is at most [`MAX_REQUEST_LEN`] bytes.
+//! The payload bytes are identical on both: the codec is the only
+//! difference, which the `clara-perf` harness's `hot-tcp` and `hot-uds`
+//! workloads measure. On both, a request is at most [`MAX_REQUEST_LEN`]
+//! bytes.
 
 use std::io::{self, BufRead, Read, Write};
-
-/// Which listener(s) the daemon binds / the bench client dials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Newline-delimited JSON over TCP (the default).
-    Tcp,
-    /// Length-prefixed JSON frames over a Unix-domain socket.
-    Uds,
-}
-
-impl Transport {
-    /// Parses a `--transport` flag value.
-    pub fn parse(s: &str) -> Option<Transport> {
-        match s {
-            "tcp" => Some(Transport::Tcp),
-            "uds" => Some(Transport::Uds),
-            _ => None,
-        }
-    }
-
-    /// The flag/report string for this transport.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Transport::Tcp => "tcp",
-            Transport::Uds => "uds",
-        }
-    }
-}
 
 /// Frames larger than this are rejected as corrupt rather than
 /// allocated: no legitimate request or response comes close.
@@ -274,14 +247,5 @@ mod tests {
         write_frame(&mut wire, &mut Vec::new(), &"y".repeat(MAX_REQUEST_LEN + 1)).expect("write");
         let reply = read_frame(&mut wire.as_slice(), &mut buf).expect("replies may be large");
         assert_eq!(reply.map(|r| r.len()), Some(MAX_REQUEST_LEN + 1));
-    }
-
-    #[test]
-    fn transport_parses_flag_values() {
-        assert_eq!(Transport::parse("tcp"), Some(Transport::Tcp));
-        assert_eq!(Transport::parse("uds"), Some(Transport::Uds));
-        assert_eq!(Transport::parse("quic"), None);
-        assert_eq!(Transport::Tcp.as_str(), "tcp");
-        assert_eq!(Transport::Uds.as_str(), "uds");
     }
 }

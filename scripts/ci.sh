@@ -41,21 +41,13 @@ test -s BENCH_train_timing.json
 # matrix and cross-backend difftest.
 ./scripts/hal_smoke.sh
 
-# quant-smoke: the f64-vs-q16 oracle with a predict-stage speedup floor,
-# plus bench-serve at both precisions (q16 with a raised floor).
+# quant-smoke: the f64-vs-q16 oracle with a predict-stage speedup floor.
 ./scripts/quant_smoke.sh
 
-# place-smoke: the placement CLI surface — a static placement, a
-# drifting replay with its migration run report, and the
-# infeasible-placement exit code.
+# place-smoke: the placement CLI surface — a static placement and a
+# drifting replay with its migration run report.
 ./scripts/place_smoke.sh
 
 # corpus-smoke: the stateful-NF corpus + accelerator catalog — the
 # `clara corpus` JSON report and per-backend accelerator menus.
 ./scripts/corpus_smoke.sh
-
-# tenant-smoke: multi-tenant serving — two-tenant fairness under a
-# quota-limited burst, typed-rejection exit codes, and the
-# tenants x transport x backend matrix (UDS frames must out-serve TCP
-# lines), leaving BENCH_serve_tenants.json behind.
-./scripts/tenant_smoke.sh

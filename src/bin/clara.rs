@@ -19,7 +19,6 @@
 //! $ clara place nat --replay shift --epochs 6   # drift-driven re-planning
 //! $ clara quantcheck                   # q16-vs-f64 tolerance oracle
 //! $ clara serve --addr 127.0.0.1:4117  # batched NF-analysis daemon
-//! $ clara bench-serve --requests 300   # load-generate against the daemon
 //! ```
 
 use clara_repro::clara::{Clara, ClaraConfig, ClaraError, Precision};
@@ -47,7 +46,7 @@ fn find(name: &str) -> NfElement {
 fn usage() -> ! {
     eprintln!(
         "usage: clara <list|corpus|backends|analyze|predict|place|ir|asm|sweep|cache-verify|\
-         difftest|quantcheck|serve|bench-serve> [element] [options]"
+         difftest|quantcheck|serve> [element] [options]"
     );
     eprintln!(
         "  options: --small-flows  --packets N  --seed N  --cores N  --model FILE  \
@@ -72,20 +71,13 @@ fn usage() -> ! {
          --backends all|A,B,...  --precision f64|q16"
     );
     eprintln!(
-        "  bench-serve: --addr HOST:PORT  --transport tcp|uds  --uds PATH  --requests N  \
-         --conns N  --nf NAME  --packets N  --seed N  --burst N  --burst-packets N  \
-         --baseline N  --model FILE  --require-speedup X  --drain  --report FILE  \
-         --backend NAME  --precision f64|q16  --place-every N  --tenants N  --quota N  \
-         --fairness  --matrix  --backends all|A,B,...  --require-uds-win"
-    );
-    eprintln!(
         "  environment: CLARA_THREADS=N  CLARA_CACHE_DIR=DIR  \
          CLARA_FAULTS=<seed>:<rate>[:<depth>]  CLARA_REPORT=FILE"
     );
     eprintln!(
         "  exit codes: 0 success, 1 other errors, 2 usage, 3 degraded run \
          (engine tasks failed permanently), 4 cache corruption, 5 I/O failure, \
-         6 difftest divergence, 7 serve/bench failure, 8 invalid manifest or \
+         6 difftest divergence, 7 serve failure (bind), 8 invalid manifest or \
          unknown backend, 9 quantization tolerance violation, 10 infeasible \
          placement / solver timeout / unknown NF in a placement request"
     );
@@ -428,7 +420,6 @@ fn run() -> Result<(), ClaraError> {
         "place" => return place_cmd(rest),
         "quantcheck" => return quantcheck_cmd(rest),
         "serve" => return serve_cmd(rest),
-        "bench-serve" => return bench_serve_cmd(rest),
         "difftest" => return difftest_cmd(rest),
         "cache-verify" => {
             let engine = clara_repro::clara::engine::Engine::new();
@@ -600,95 +591,6 @@ fn serve_cmd(args: &[String]) -> Result<(), ClaraError> {
         "clara-serve drained: {} served, {} overloaded, {} quota-exceeded, {} errors",
         summary.served, summary.overloaded, summary.quota_exceeded, summary.errors
     );
-    Ok(())
-}
-
-/// `clara bench-serve`: the load generator. Exits 7 when any request
-/// fails for a reason other than a typed `overloaded` rejection (or a
-/// `--require-speedup` floor is missed).
-fn bench_serve_cmd(args: &[String]) -> Result<(), ClaraError> {
-    use serve::BenchOptions;
-
-    let mut bo = BenchOptions::default();
-    let mut it = args.iter();
-    let num = |it: &mut std::slice::Iter<String>| -> u64 {
-        it.next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage())
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => bo.addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--transport" => {
-                bo.transport = it
-                    .next()
-                    .and_then(|v| serve::Transport::parse(v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--uds" => bo.uds_path = it.next().cloned().or_else(|| usage()),
-            "--requests" => bo.requests = num(&mut it) as usize,
-            "--conns" => bo.conns = num(&mut it) as usize,
-            "--nf" => bo.nf = it.next().cloned().unwrap_or_else(|| usage()),
-            "--packets" => bo.packets = num(&mut it) as usize,
-            "--seed" => bo.seed = num(&mut it),
-            "--burst" => bo.burst = num(&mut it) as usize,
-            "--burst-packets" => bo.burst_packets = num(&mut it) as usize,
-            "--baseline" => bo.baseline = num(&mut it) as usize,
-            "--model" => bo.model = it.next().cloned().or_else(|| usage()),
-            "--require-speedup" => {
-                bo.require_speedup = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--drain" => bo.drain = true,
-            "--report" => bo.report = it.next().cloned().or_else(|| usage()),
-            "--backend" => bo.backend = it.next().cloned().or_else(|| usage()),
-            "--precision" => bo.precision = Some(parse_precision(it.next())),
-            "--place-every" => bo.place_every = num(&mut it) as usize,
-            "--tenants" => bo.tenants = num(&mut it) as usize,
-            "--quota" => bo.quota = Some(num(&mut it)),
-            "--fairness" => bo.fairness = true,
-            "--matrix" => bo.matrix = true,
-            "--backends" => {
-                bo.backends = backend_list(&it.next().cloned().unwrap_or_else(|| usage()));
-            }
-            "--require-uds-win" => bo.require_uds_win = true,
-            _ => usage(),
-        }
-    }
-    let s = serve::run_bench(&bo)?;
-    println!(
-        "bench-serve: {} sent, {} ok, {} overloaded, {} quota-exceeded, {} failed",
-        s.sent, s.ok, s.overloaded, s.quota_exceeded, s.failed
-    );
-    println!(
-        "throughput: {:.1} req/s; predict latency p50 {:.0} us, p95 {:.0} us, p99 {:.0} us",
-        s.rps, s.p50_us, s.p95_us, s.p99_us
-    );
-    if s.place_ok > 0 {
-        println!(
-            "place: {} ok; latency p50 {:.0} us, p95 {:.0} us, p99 {:.0} us",
-            s.place_ok, s.place_p50_us, s.place_p95_us, s.place_p99_us
-        );
-    }
-    if let (Some(b), Some(x)) = (s.baseline_rps, s.speedup) {
-        println!("baseline (one-shot CLI): {b:.2} req/s -> speedup {x:.1}x");
-    }
-    if let Some(f) = &s.fairness {
-        println!(
-            "fairness: victim p95 solo {:.0} us -> contended {:.0} us; \
-             victim rejections {}, burster rejections {}",
-            f.solo_p95_us, f.contended_p95_us, f.victim_rejections, f.burster_rejections
-        );
-    }
-    if let (Some(t), Some(u)) = (s.tcp_rps, s.uds_rps) {
-        println!("matrix: tcp {t:.1} req/s vs uds {u:.1} req/s");
-    }
-    if s.drained {
-        println!("drain: ok");
-    }
     Ok(())
 }
 

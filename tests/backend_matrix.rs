@@ -19,7 +19,8 @@
 //! trained pipeline, saved once: `predict --backend` prints the facade's
 //! answer, `analyze --backend all` matches `tests/golden/cli_analyze_all.txt`,
 //! one-shot `analyze` of seven NFs matches `tests/golden/cli_analyze_oneshot.txt`,
-//! and an unknown `--backend` exits 8.
+//! an unknown `--backend` exits 8, a missed `quantcheck` speed floor exits
+//! 9, and an infeasible placement exits 10.
 //!
 //! Regenerate after an *intentional* change with:
 //!
@@ -400,6 +401,105 @@ fn cli_unknown_backend_exits_8() {
             out.status.code(),
             Some(8),
             "clara {cmd} with an unknown backend: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+/// A device whose whole memory hierarchy holds 960 bytes: cmsketch's
+/// state does not fit, so placing it is infeasible.
+const CAPACITY_STARVED_MANIFEST: &str = r#"schema_version = 1
+name = "capacity-starved"
+description = "capacity-starved device for the infeasible-placement pin"
+class = "on-path"
+
+[cores]
+count = 4
+freq_ghz = 1.0
+
+[io]
+max_mpps = 10.0
+line_rate_gbps = 10.0
+
+[[memory]]
+level = "CLS"
+capacity_bytes = 64
+latency_cycles = 25
+bandwidth = 2.5
+
+[[memory]]
+level = "CTM"
+capacity_bytes = 128
+latency_cycles = 55
+bandwidth = 1.8
+
+[[memory]]
+level = "IMEM"
+capacity_bytes = 256
+latency_cycles = 150
+bandwidth = 0.45
+
+[[memory]]
+level = "EMEM"
+capacity_bytes = 512
+latency_cycles = 500
+bandwidth = 0.085
+
+[memory_cache]
+capacity_bytes = 256
+hit_latency_cycles = 130
+bandwidth = 0.40
+
+[[accelerator]]
+op = "checksum"
+accel_cycles = 300
+sw_cycles = 2000
+
+[[accelerator]]
+op = "crc"
+base_cycles = 30
+per_iter_cycles = 0.25
+
+[[accelerator]]
+op = "lpm-cam"
+hit_cycles = 50
+insert_cycles = 120
+entries = 64
+
+[vendor_lib]
+call_overhead_cycles = 12
+
+[[port]]
+id = 0
+speed_gbps = 10.0
+"#;
+
+/// The CLI's typed failures keep their exit codes: a q16 speed floor no
+/// build can reach exits 9, and a placement on a device too small for
+/// the NF exits 10.
+#[test]
+fn cli_typed_failures_keep_their_exit_codes() {
+    let _g = obs_lock();
+    let tiny = Path::new(env!("CARGO_TARGET_TMPDIR")).join("backend_matrix_tiny.toml");
+    std::fs::write(&tiny, CAPACITY_STARVED_MANIFEST).expect("write manifest");
+    let tiny = tiny.to_str().expect("UTF-8 target dir");
+    let speed_floor: &[&str] = &[
+        "quantcheck",
+        "--packets",
+        "20",
+        "--reps",
+        "1",
+        "--require-speedup",
+        "1000000",
+    ];
+    let infeasible: &[&str] = &["place", "cmsketch", "--backend", tiny, "--packets", "200"];
+    for (args, code) in [(speed_floor, 9), (infeasible, 10)] {
+        let out = clara_cli(args);
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "clara {}: {}",
+            args.join(" "),
             String::from_utf8_lossy(&out.stderr)
         );
     }

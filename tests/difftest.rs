@@ -5,7 +5,8 @@
 //! that the printed IR is stable and that all three execution layers
 //! (reference executor, interpreter, optimized-module interpreter)
 //! still agree on it. The shrinker's minimized output for the injected
-//! smoke divergence is pinned the same way.
+//! smoke divergence is pinned the same way, and so is the CLI's exit
+//! code 6 for a divergent sweep.
 //!
 //! Regenerate after an *intentional* change with:
 //!
@@ -14,6 +15,7 @@
 //! ```
 
 use std::path::Path;
+use std::process::Command;
 
 use clara_repro::clara::difftest::{self, DifftestConfig, Injection};
 use clara_repro::ir::{
@@ -180,6 +182,31 @@ fn golden_minimized_smoke_repro() {
     let div = difftest::replay(Path::new(&path), 24, 0xd1ff, Some(Injection::FlipArith))
         .expect("golden parses");
     assert!(div.is_some(), "minimized repro no longer diverges");
+}
+
+/// A divergence is the CLI's exit 6: with the miscompile injected, a
+/// short sweep diverges on some seed.
+#[test]
+fn cli_divergence_exits_6() {
+    let out = Command::new(env!("CARGO_BIN_EXE_clara"))
+        .args([
+            "difftest",
+            "--seeds",
+            "10",
+            "--packets",
+            "16",
+            "--inject",
+            "--no-shrink",
+        ])
+        .env_remove("CLARA_REPORT")
+        .output()
+        .expect("spawn clara");
+    assert_eq!(
+        out.status.code(),
+        Some(6),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 #[test]

@@ -769,10 +769,11 @@ fn p95_us(mut lat: Vec<u64>) -> u64 {
 }
 
 /// (e) Tenancy over the wire: `op:"register"` pins an NF set and quota,
-/// scoped requests serve byte-identically to the facade, out-of-set and
-/// unregistered-tenant requests get typed rejections, and the `stats`
-/// response pins its key order (including the new `errors` and
-/// `quota_exceeded` counters, per-tenant sections, and coloc pairs).
+/// scoped requests serve byte-identically to the facade, out-of-set,
+/// unregistered-tenant and non-corpus-registration requests get typed
+/// rejections, and the `stats` response pins its key order (including
+/// the new `errors` and `quota_exceeded` counters, per-tenant sections,
+/// and coloc pairs).
 #[test]
 fn registered_tenants_are_scoped_and_stats_pin_key_order() {
     let _g = serve_lock();
@@ -883,6 +884,20 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
         resp.contains(r#""error":"bad_request""#),
         "register without a tenant name must be typed: {resp}"
     );
+    // A registration naming an NF outside the corpus: typed `unknown_nf`,
+    // and no tenant is created.
+    let resp = conn.send(&protocol::render_request_as(
+        Some(7),
+        Some("gamma"),
+        &Request::Register(RegisterSpec {
+            nfs: vec!["cmsketch".to_string(), "not-an-nf".to_string()],
+            ..RegisterSpec::default()
+        }),
+    ));
+    assert!(
+        resp.contains(r#""error":"unknown_nf""#) && resp.contains("not-an-nf"),
+        "register naming a non-corpus NF must be typed: {resp}"
+    );
 
     // Stats: every global key in pinned order, then per-tenant entries
     // (each in pinned order) and the coloc pairs for the two profiled
@@ -945,6 +960,10 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
         stats.contains(r#""name":"default""#),
         "the default tenant is always listed: {stats}"
     );
+    assert!(
+        !stats.contains(r#""name":"gamma""#),
+        "a rejected registration creates no tenant: {stats}"
+    );
     // alpha and beta both registered non-empty NF sets, so they carry
     // workload profiles and the coloc model predicts their pairwise
     // interference.
@@ -960,8 +979,8 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
     let summary = handle.join();
     assert_eq!(summary.served, 1, "exactly the scoped predict served");
     assert_eq!(
-        summary.errors, 3,
-        "unknown_nf + unknown_tenant + nameless register"
+        summary.errors, 4,
+        "unknown_nf + unknown_tenant + nameless register + unknown_nf register"
     );
     assert_eq!(summary.quota_exceeded, 0);
 }
@@ -1547,9 +1566,9 @@ fn deeply_nested_request_is_a_typed_bad_request_on_both_codecs() {
 
 /// (i) With a zero deadline every queued request expires before a worker
 /// takes it: each gets the typed `deadline` error and counts in `errors`,
-/// and `served + errors` reconciles at drain. The server installs the
-/// deadline as the engine's stage deadline too, and `join` clears it, so
-/// a later server without a deadline serves normally.
+/// and `served + errors` reconciles at drain. Each server's workers
+/// install its deadline as their own engine stage deadline, so neither a
+/// later server nor one running beside it inherits the zero budget.
 #[test]
 fn zero_deadline_rejects_queued_work_and_ends_with_its_server() {
     let _g = serve_lock();
@@ -1608,4 +1627,28 @@ fn zero_deadline_rejects_queued_work_and_ends_with_its_server() {
     handle.drain();
     let summary = handle.join();
     assert_eq!((summary.served, summary.errors), (1, 0));
+
+    // Two servers at once: starting a zero-deadline server must not
+    // reach the stages of one already running without a deadline.
+    let open = start_with(None);
+    let zero = start_with(Some(std::time::Duration::ZERO));
+    let (line, _) = predict_req(11, "cmsketch", 80, 7111);
+    let resp = Conn::open(open.addr()).send(&line);
+    assert!(
+        resp.contains("\"ok\":true"),
+        "a cache-miss predict beside a zero-deadline server serves normally: {resp}"
+    );
+    let (line, _) = predict_req(12, "cmsketch", 80, 7112);
+    let resp = Conn::open(zero.addr()).send(&line);
+    assert!(
+        resp.contains(r#""error":"deadline""#),
+        "the zero-deadline server keeps its own budget: {resp}"
+    );
+    zero.drain();
+    open.drain();
+    assert_eq!(
+        (zero.join().served, open.join().served),
+        (0, 1),
+        "each server's counters hold only its own requests"
+    );
 }

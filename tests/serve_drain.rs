@@ -4,11 +4,13 @@
 //! outgrows the socket buffer once the daemon has served enough work.
 //! The daemon must finish writing that frame to a slow reader before it
 //! exits, and must still exit (within its bounded write timeout) when
-//! the client never reads at all.
+//! the client never reads at all. A daemon that cannot bind its address
+//! exits 7.
 
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader};
+use std::net::TcpListener;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -151,4 +153,26 @@ fn a_client_that_never_reads_cannot_hold_shutdown() {
         started.elapsed()
     );
     drop(conn);
+}
+
+#[test]
+fn an_address_in_use_exits_seven() {
+    let held = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = held.local_addr().expect("bound address").to_string();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_clara"))
+        .args(["serve", "--addr", &addr, "--model"])
+        .arg(model_path())
+        .env_remove("CLARA_REPORT")
+        .env_remove("CLARA_CACHE_DIR")
+        .env_remove("CLARA_FAULTS")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn clara serve");
+    // A bind that unexpectedly succeeds leaves the daemon serving; the
+    // bounded wait kills it and fails here instead of hanging.
+    let status = wait_exit(&mut child, Duration::from_secs(30))
+        .expect("a daemon that cannot bind exits instead of serving");
+    assert_eq!(status.code(), Some(7), "bind failure on {addr}");
+    drop(held);
 }
