@@ -182,18 +182,13 @@ impl PlacementRequest {
         }
     }
 
-    /// The workload spec a static (non-replay) request profiles.
-    pub fn spec(&self) -> WorkloadSpec {
-        if self.small_flows {
-            WorkloadSpec::small_flows().with_flows(8192)
-        } else {
-            WorkloadSpec::large_flows()
-        }
-    }
-
-    /// The profiling trace for a static request.
+    /// The profiling trace for a static (non-replay) request.
     pub fn trace(&self) -> Trace {
-        Trace::generate(&self.spec(), self.packets.max(1), self.seed)
+        Trace::generate(
+            &WorkloadSpec::by_flow_size(self.small_flows),
+            self.packets.max(1),
+            self.seed,
+        )
     }
 
     /// Resolves the replay schedule, if any. Unknown names are a typed

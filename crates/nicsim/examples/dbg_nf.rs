@@ -14,9 +14,8 @@ fn main() {
         emem_cache_bytes: 64 * 1024,
         ..NicConfig::default()
     };
-    let sim = Simulation::new(&e.module, cfg.clone());
     let port = PortConfig::naive().with_csum_accel();
-    let wp = sim.profile(&trace, &port);
+    let wp = profile_workload(&e.module, &trace, &port, &cfg, |_| {});
     println!(
         "compute={:.1} accesses={:?}",
         wp.compute,

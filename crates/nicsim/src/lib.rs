@@ -56,5 +56,5 @@ pub use profile::{
 };
 pub use sim::{
     chain_global, merge_stage_profiles, optimal_cores, profile_chain, profile_chain_stages,
-    run_chain, simulate, simulate_colocated, sweep_cores, ChainPass, Simulation, CHAIN_STRIDE,
+    run_chain, simulate, simulate_colocated, sweep_cores, ChainPass, CHAIN_STRIDE,
 };

@@ -1,7 +1,6 @@
 //! High-level simulation driver: NF module + workload + port → numbers.
 
 use clara_obs as obs;
-use click_model::Machine;
 use nf_ir::Module;
 use trafgen::Trace;
 
@@ -11,50 +10,11 @@ use crate::port::PortConfig;
 use crate::profile::{per_packet, profile_workload, Costing, Totals, WorkloadProfile};
 use nfcc::NicModule;
 
-/// A reusable simulation context for one NF.
-#[derive(Debug, Clone)]
-pub struct Simulation {
-    /// The NF under simulation.
-    pub module: Module,
-    /// NIC hardware configuration.
-    pub cfg: NicConfig,
-}
-
-impl Simulation {
-    /// Creates a context (verifying the module via the interpreter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the module does not verify.
-    pub fn new(module: &Module, cfg: NicConfig) -> Simulation {
-        let _ = Machine::new(module).expect("module must verify");
-        Simulation {
-            module: module.clone(),
-            cfg,
-        }
-    }
-
-    /// Profiles a workload under a port configuration.
-    pub fn profile(&self, trace: &Trace, port: &PortConfig) -> WorkloadProfile {
-        profile_workload(&self.module, trace, port, &self.cfg, |_| {})
-    }
-
-    /// Simulates one operating point.
-    pub fn run(&self, trace: &Trace, port: &PortConfig, cores: u32) -> PerfPoint {
-        solve_perf(&self.profile(trace, port), &self.cfg, port, cores)
-    }
-
-    /// Sweeps core counts, returning one point per count.
-    pub fn sweep(&self, trace: &Trace, port: &PortConfig, counts: &[u32]) -> Vec<PerfPoint> {
-        let wp = self.profile(trace, port);
-        counts
-            .iter()
-            .map(|&c| solve_perf(&wp, &self.cfg, port, c))
-            .collect()
-    }
-}
-
 /// One-shot simulation of an NF at a given core count.
+///
+/// # Panics
+///
+/// Panics if the module does not verify (see [`profile_workload`]).
 pub fn simulate(
     module: &Module,
     trace: &Trace,
@@ -62,10 +22,15 @@ pub fn simulate(
     cfg: &NicConfig,
     cores: u32,
 ) -> PerfPoint {
-    Simulation::new(module, cfg.clone()).run(trace, port, cores)
+    let wp = profile_workload(module, trace, port, cfg, |_| {});
+    solve_perf(&wp, cfg, port, cores)
 }
 
 /// Sweeps 1..=max_cores and returns every operating point.
+///
+/// # Panics
+///
+/// Panics if the module does not verify (see [`profile_workload`]).
 pub fn sweep_cores(
     module: &Module,
     trace: &Trace,
@@ -73,8 +38,10 @@ pub fn sweep_cores(
     cfg: &NicConfig,
     max_cores: u32,
 ) -> Vec<PerfPoint> {
-    let counts: Vec<u32> = (1..=max_cores).collect();
-    Simulation::new(module, cfg.clone()).sweep(trace, port, &counts)
+    let wp = profile_workload(module, trace, port, cfg, |_| {});
+    (1..=max_cores)
+        .map(|c| solve_perf(&wp, cfg, port, c))
+        .collect()
 }
 
 /// Simulates two NFs colocated on the NIC with an even core split.

@@ -1,4 +1,4 @@
-//! `clara-serve`: a batched, backpressured NF-analysis service.
+//! `clara-serve`: a backpressured NF-analysis service.
 //!
 //! Every one-shot `clara` invocation pays full process startup: load (or
 //! train) the models, compile, profile, exit. This crate keeps that state
@@ -20,9 +20,10 @@
 //!   fixed-size worker pool behind a bounded queue; when the queue is
 //!   full the server answers with a typed `overloaded` error immediately
 //!   instead of hanging the client;
-//! - **micro-batching** — adjacent queued `predict` requests coalesce
-//!   into one [`clara_core::Clara::predict_batch_on_prec_cached`] call,
-//!   i.e. one engine `par_map` stage instead of N;
+//! - **one route per request** — admission checks a request's NFs and
+//!   picks its device backend and precision once (the request's, else
+//!   its tenant's, else the server's); a worker runs each job on its
+//!   own along that route;
 //! - **deadlines** — a per-request budget turns queue-stuck requests
 //!   into typed `deadline` errors; each worker thread also installs it
 //!   as its own engine stage deadline
@@ -35,8 +36,8 @@
 //! - **multi-tenant fleet serving** — every request runs as a tenant
 //!   ([`tenant`]); `op:"register"` pins per-tenant NF sets, default
 //!   backend/precision, and admission quotas. Tenants get their own
-//!   sub-queues under the shared capacity budget with deficit
-//!   round-robin dispatch and sharded workers, so one tenant's burst
+//!   sub-queues under the shared capacity budget with round-robin
+//!   dispatch and sharded workers, so one tenant's burst
 //!   collects typed `quota_exceeded` while everyone else keeps their
 //!   latency; `stats` surfaces per-tenant counters and pairwise
 //!   colocation-interference predictions.

@@ -71,7 +71,7 @@
 //! closes the connection).
 //!
 //! Response rendering is a pure function of the result data, so a
-//! response served through the daemon's queue and batching machinery is
+//! response served through the daemon's queue and worker pool is
 //! byte-identical to one rendered from the equivalent one-shot facade
 //! call (pinned by `tests/serve.rs`).
 
@@ -106,12 +106,11 @@ impl WorkSpec {
     /// Generates the deterministic trace this spec describes (the same
     /// mapping the one-shot `clara analyze` CLI uses).
     pub fn trace(&self) -> Trace {
-        let spec = if self.small_flows {
-            WorkloadSpec::small_flows().with_flows(8192)
-        } else {
-            WorkloadSpec::large_flows()
-        };
-        Trace::generate(&spec, self.packets, self.seed)
+        Trace::generate(
+            &WorkloadSpec::by_flow_size(self.small_flows),
+            self.packets,
+            self.seed,
+        )
     }
 }
 
@@ -134,7 +133,7 @@ pub struct RegisterSpec {
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Performance-parameter prediction (batchable).
+    /// Performance-parameter prediction.
     Predict(WorkSpec),
     /// Full insight bundle.
     Analyze(WorkSpec),

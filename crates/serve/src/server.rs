@@ -19,26 +19,25 @@
 //! the tenant's sub-queue; the connection thread parks on a channel
 //! while a worker picks the job up.
 //!
-//! Dispatch is **deficit round-robin across tenants**: tenants with
-//! pending jobs form a ring, each visit grants a quantum of
-//! `batch_max` jobs, and unused credit carries (bounded) to the next
-//! visit. A visit coalesces runs of adjacent `predict` jobs (each a
-//! prediction-cache miss) bound for
-//! the *same device backend at the same precision* into one
-//! [`Clara::predict_batch_on_prec_cached`] call — coalescing never crosses
-//! tenants. Workers are **sharded**: tenant *k* (registration order) is
+//! Admission runs one check for `predict`, `analyze` and `place`: every
+//! NF the request names must be in the corpus and in the tenant's set,
+//! and the device backend and the precision are each picked once — the
+//! request's, else the tenant's registered default, else the server's.
+//! A backend the server does not hold warm ([`ServeOptions::backends`])
+//! is a typed `unknown_backend`. The pick is the job's route; nothing
+//! after admission resolves a backend or a precision again.
+//!
+//! Dispatch is **round-robin across tenants**: tenants with pending jobs
+//! form a ring, and each visit takes one job from the front tenant and
+//! sends that tenant to the back of the ring. A worker runs each job on
+//! its own, through one function that counts it, renders its reply and
+//! sends it. Workers are **sharded**: tenant *k* (registration order) is
 //! pinned to shard `k % workers` and worker *i* serves shard
 //! `i % min(workers, tenants)`, so a single tenant's burst occupies its
 //! own slice of the pool while a lone-tenant workload still uses every
 //! worker. `stats` is answered inline without queueing so it stays
-//! responsive under load, and now carries per-tenant counters, the
-//! `errors` total, and pairwise colocation-interference predictions.
-//!
-//! The server holds every backend in [`ServeOptions::backends`] warm
-//! and routes each request by its `backend` field, falling back to the
-//! tenant's registered default and then the server default; a name that
-//! is not loaded is rejected before queueing with a typed
-//! `unknown_backend` error.
+//! responsive under load, and carries per-tenant counters, the `errors`
+//! total, and pairwise colocation-interference predictions.
 //!
 //! Drain (the `drain` op, [`ServerHandle::drain`], or SIGTERM via
 //! [`install_sigterm_drain`]) flips the drain flag **while holding the
@@ -57,7 +56,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,24 +82,22 @@ pub struct ServeOptions {
     /// Also listen on a Unix-domain socket at this path, speaking
     /// length-prefixed frames (the `uds` transport). `None`: TCP only.
     pub uds_path: Option<String>,
-    /// Worker threads executing queued jobs.
+    /// Worker threads, each running one queued job at a time: the one
+    /// knob for how many jobs run at once.
     pub workers: usize,
     /// Bounded queue capacity; beyond it requests get `overloaded`.
     /// Only queued work counts: prediction-cache hits never queue.
     pub queue_cap: usize,
-    /// Most `predict` jobs coalesced into one batched engine stage;
-    /// also the deficit-round-robin quantum.
-    pub batch_max: usize,
     /// Per-request budget measured from enqueue. Each worker thread also
     /// installs it as the engine stage deadline of the stages it starts,
     /// so a wedged stage is cut short too, and another server in the
     /// same process keeps its own budget.
     pub deadline: Option<Duration>,
     /// Built-in device backends held warm for per-request routing. The
-    /// first entry serves requests that name no backend. Empty: the
-    /// default device only.
+    /// first entry serves requests whose tenant names no backend either.
+    /// Empty: the default device only.
     pub backends: Vec<String>,
-    /// Inference precision for requests that do not name one.
+    /// Inference precision for requests whose tenant names none either.
     pub precision: Precision,
 }
 
@@ -111,7 +108,6 @@ impl Default for ServeOptions {
             uds_path: None,
             workers: 2,
             queue_cap: 64,
-            batch_max: 8,
             deadline: None,
             backends: vec![clara_hal::DEFAULT_BACKEND.to_string()],
             precision: Precision::F64,
@@ -134,42 +130,95 @@ pub struct ServeSummary {
     pub errors: u64,
 }
 
+/// Where an admitted job runs, picked once at admission: the device
+/// backend and the inference precision, each the request's, else its
+/// tenant's, else the server's.
+#[derive(Clone, Copy)]
+struct Route {
+    backend: &'static DeviceBackend,
+    precision: Precision,
+}
+
+/// A failed request's typed error kind and detail.
+type Failure = (ErrorKind, String);
+
 enum JobKind {
-    Predict(WorkSpec),
-    Analyze(WorkSpec),
-    Difftest { seeds: u64, start: u64, pkts: usize },
+    /// A prediction-cache miss; its answer is cached under `key`.
+    Predict {
+        spec: WorkSpec,
+        module: &'static Module,
+        key: PredictKey,
+    },
+    Analyze {
+        spec: WorkSpec,
+        module: &'static Module,
+    },
+    Difftest {
+        seeds: u64,
+        start: u64,
+        pkts: usize,
+    },
     Place(PlacementRequest),
 }
 
 struct Job {
     id: Option<u64>,
     tenant: Arc<Tenant>,
+    route: Route,
     kind: JobKind,
     enqueued: Instant,
     resp: mpsc::Sender<String>,
 }
 
-/// One tenant's sub-queue plus its deficit-round-robin credit.
-struct TenantQueue {
-    /// Latest registration of the owning tenant (refreshed at enqueue).
-    tenant: Arc<Tenant>,
-    jobs: VecDeque<Job>,
-    deficit: u64,
-}
-
 /// Everything admission and dispatch agree on, under one lock: the
-/// per-tenant sub-queues, the DRR ring of tenants with pending jobs,
-/// the shared-capacity total, and the drain flag (in here precisely so
+/// per-tenant sub-queues, the ring of tenants with pending jobs, the
+/// shared-capacity total, and the drain flag (in here precisely so
 /// drain linearizes against admission).
 struct QueueState {
-    queues: BTreeMap<String, TenantQueue>,
+    queues: BTreeMap<String, VecDeque<Job>>,
     ring: VecDeque<String>,
     total: usize,
     draining: bool,
 }
 
-/// A served prediction's identity: the materialized work spec plus the
-/// route (device, precision) that executed it. The trained model is
+impl QueueState {
+    /// Queues a job at the back of its tenant's sub-queue; a tenant with
+    /// nothing queued joins the back of the ring.
+    fn push(&mut self, job: Job) {
+        let jobs = self.queues.entry(job.tenant.name.clone()).or_default();
+        if jobs.is_empty() {
+            self.ring.push_back(job.tenant.name.clone());
+        }
+        jobs.push_back(job);
+        self.total += 1;
+    }
+
+    /// One round-robin visit for `worker` out of `shard_count` live
+    /// shards: the first ring tenant on the worker's shard gives up its
+    /// oldest job and, if it has more, goes to the back of the ring.
+    /// `None` when no ring tenant is on this shard.
+    fn pop(&mut self, worker: usize, shard_count: usize) -> Option<Job> {
+        let my_shard = worker % shard_count;
+        let queues = &self.queues;
+        let pos = self.ring.iter().position(|name| {
+            queues
+                .get(name)
+                .and_then(VecDeque::front)
+                .is_some_and(|job| job.tenant.shard % shard_count == my_shard)
+        })?;
+        let name = self.ring.remove(pos)?;
+        let jobs = self.queues.get_mut(&name)?;
+        let job = jobs.pop_front()?;
+        if !jobs.is_empty() {
+            self.ring.push_back(name);
+        }
+        self.total -= 1;
+        Some(job)
+    }
+}
+
+/// A served prediction's identity: the work spec's NF and trace knobs
+/// plus the route's backend name and precision. The trained model is
 /// fixed for the server's lifetime, so this key fully determines the
 /// prediction — and it hashes in nanoseconds, unlike the engine's
 /// serialize-and-FNV content fingerprints.
@@ -192,14 +241,13 @@ fn op_index(req: &Request) -> usize {
     }
 }
 
-/// The obs handles every request or predict batch updates, resolved once
+/// The obs handles every request or predict miss updates, resolved once
 /// at start: a registry lookup takes a process-global lock (and, for the
 /// per-op histograms, a `format!`), which a cache hit would otherwise pay
 /// several times over.
 struct Meters {
     /// `serve.op.<op>.latency_us`, indexed like [`OPS`].
     op_latency: [obs::Histogram; 7],
-    batch_size: obs::Histogram,
     queue_depth: obs::Gauge,
     predict_ops: obs::Counter,
     predict_hits: obs::Counter,
@@ -213,7 +261,6 @@ impl Meters {
     fn resolve() -> Meters {
         Meters {
             op_latency: OPS.map(|op| obs::volatile_histogram(&format!("serve.op.{op}.latency_us"))),
-            batch_size: obs::volatile_histogram("serve.batch.size"),
             queue_depth: obs::volatile_gauge("serve.queue.depth"),
             predict_ops: obs::counter("serve.ops.predict"),
             predict_hits: obs::counter("serve.cache.predict_hits"),
@@ -233,8 +280,8 @@ const PREDICT_CACHE_CAP: usize = 8192;
 struct Shared {
     clara: Arc<Clara>,
     /// Predictor-weights fingerprint, hashed once at startup: computing
-    /// it per batch costs milliseconds, which would dominate every warm
-    /// sub-millisecond predict this daemon exists to serve.
+    /// it per prediction costs milliseconds, which would dominate every
+    /// warm sub-millisecond predict this daemon exists to serve.
     predictor_fp: u64,
     /// Completed predictions by spec + route, probed by the connection
     /// thread before anything is queued: a hit is answered there and
@@ -244,7 +291,7 @@ struct Shared {
     /// fingerprints that serialize the module and trace on every
     /// lookup, ~100us per request).
     predict_cache: RwLock<HashMap<PredictKey, Prediction>>,
-    corpus: BTreeMap<String, Module>,
+    corpus: &'static BTreeMap<String, Module>,
     /// Warm device backends, default (request names none) first.
     backends: Vec<&'static DeviceBackend>,
     registry: Registry,
@@ -264,41 +311,59 @@ struct Shared {
 }
 
 impl Shared {
-    /// Resolves the backend a request routes to: the named warm device,
-    /// or the default (first) one when the request names none. `None`
-    /// means the name is not loaded. (Tenant defaults are already
-    /// materialized into the spec at dispatch.)
-    fn backend_of(&self, w: &WorkSpec) -> Option<&'static DeviceBackend> {
-        match &w.backend {
-            None => Some(self.backends[0]),
-            Some(name) => self.backends.iter().copied().find(|b| b.name() == name),
+    /// The warm backend of this name; a name the server does not hold is
+    /// a typed `unknown_backend`.
+    fn warm_backend(&self, name: &str) -> Result<&'static DeviceBackend, Failure> {
+        self.backends
+            .iter()
+            .copied()
+            .find(|b| b.name() == name)
+            .ok_or_else(|| {
+                let loaded: Vec<&str> = self.backends.iter().map(|b| b.name()).collect();
+                (
+                    ErrorKind::UnknownBackend,
+                    format!(
+                        "`{name}` is not a warm backend (loaded: {})",
+                        loaded.join(", ")
+                    ),
+                )
+            })
+    }
+
+    /// Admission's one check for the ops that name NFs: each NF must be
+    /// in the corpus, then each must be in the tenant's set, and the
+    /// backend and the precision are each the request's, else the
+    /// tenant's, else the server's. Returns the route and the module of
+    /// the first NF (the one NF a `predict` or `analyze` names).
+    fn admit(
+        &self,
+        t: &Tenant,
+        nfs: &[String],
+        backend: Option<&str>,
+        precision: Option<Precision>,
+    ) -> Result<(Route, Option<&'static Module>), Failure> {
+        let mut first = None;
+        for nf in nfs {
+            let Some(module) = self.corpus.get(nf) else {
+                return Err((
+                    ErrorKind::UnknownNf,
+                    format!("`{nf}` is not in the corpus (see `clara list`)"),
+                ));
+            };
+            first.get_or_insert(module);
         }
-    }
-
-    /// The backend name a spec effectively runs under (for coalescing).
-    fn effective_backend<'a>(&self, w: &'a WorkSpec) -> &'a str {
-        w.backend
-            .as_deref()
-            .unwrap_or_else(|| self.backends[0].name())
-    }
-
-    /// The precision a spec effectively runs at: its own request field,
-    /// or the server's configured default.
-    fn effective_precision(&self, w: &WorkSpec) -> Precision {
-        w.precision.unwrap_or(self.opts.precision)
-    }
-
-    /// The prediction-cache key of a validated predict spec.
-    fn predict_key(&self, w: &WorkSpec) -> PredictKey {
-        let backend = self.backend_of(w).expect("validated at admission");
-        (
-            w.nf.clone(),
-            w.packets,
-            w.seed,
-            w.small_flows,
-            backend.name(),
-            self.effective_precision(w),
-        )
+        if let Some(nf) = nfs.iter().find(|nf| !tenant_admits(t, nf)) {
+            return Err((
+                ErrorKind::UnknownNf,
+                format!("`{nf}` is not in tenant `{}`'s registered NF set", t.name),
+            ));
+        }
+        let backend = match backend.or(t.backend.as_deref()) {
+            None => self.backends[0],
+            Some(name) => self.warm_backend(name)?,
+        };
+        let precision = precision.or(t.precision).unwrap_or(self.opts.precision);
+        Ok((Route { backend, precision }, first))
     }
 
     fn queue_gauge(&self, depth: usize) {
@@ -400,18 +465,13 @@ impl Server {
         let root_guard = obs::span("clara-serve");
         let root = root_guard.handle();
 
-        let corpus = click_model::extended_corpus()
-            .into_iter()
-            .map(|e| (e.name().to_string(), e.module))
-            .collect();
-
         let workers = opts.workers.max(1);
         let predictor_fp = clara.predictor_fingerprint();
         let shared = Arc::new(Shared {
             clara,
             predictor_fp,
             predict_cache: RwLock::new(HashMap::new()),
-            corpus,
+            corpus: corpus(),
             backends,
             registry: Registry::new(workers, opts.queue_cap),
             nic: NicConfig::default(),
@@ -465,6 +525,18 @@ impl Server {
             root_guard: Some(root_guard),
         })
     }
+}
+
+/// The built-in corpus by name, built once per process: every server
+/// holds the same NFs, and a queued job borrows its NF's module.
+fn corpus() -> &'static BTreeMap<String, Module> {
+    static CORPUS: OnceLock<BTreeMap<String, Module>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        click_model::extended_corpus()
+            .into_iter()
+            .map(|e| (e.name().to_string(), e.module))
+            .collect()
+    })
 }
 
 #[cfg(unix)]
@@ -770,127 +842,51 @@ fn tenant_admits(t: &Tenant, nf: &str) -> bool {
 }
 
 fn dispatch_work(id: Option<u64>, t: Arc<Tenant>, req: Request, s: &Arc<Shared>) -> String {
-    // Materialize the tenant's registered defaults into the spec before
-    // validation so coalescing and routing see one resolved value.
-    let req = match req {
-        Request::Predict(mut w) => {
-            w.backend = w.backend.or_else(|| t.backend.clone());
-            w.precision = w.precision.or(t.precision);
-            Request::Predict(w)
-        }
-        Request::Analyze(mut w) => {
-            w.backend = w.backend.or_else(|| t.backend.clone());
-            w.precision = w.precision.or(t.precision);
-            Request::Analyze(w)
-        }
-        Request::Place(mut r) => {
-            r.backend = r.backend.or_else(|| t.backend.clone());
-            r.precision = r.precision.or(t.precision);
-            Request::Place(r)
-        }
-        other => other,
+    let (nfs, backend, precision) = match &req {
+        Request::Predict(w) | Request::Analyze(w) => (
+            std::slice::from_ref(&w.nf),
+            w.backend.as_deref(),
+            w.precision,
+        ),
+        Request::Place(r) => (r.nfs.as_slice(), r.backend.as_deref(), r.precision),
+        _ => (&[][..], None, None),
     };
-    match req {
-        Request::Predict(w) | Request::Analyze(w) if !s.corpus.contains_key(&w.nf) => {
+    let (route, module) = match s.admit(&t, nfs, backend, precision) {
+        Ok(admitted) => admitted,
+        Err((kind, detail)) => {
             s.count_error(&t);
-            protocol::error_response(
-                id,
-                ErrorKind::UnknownNf,
-                &format!("`{}` is not in the corpus (see `clara list`)", w.nf),
-            )
+            return protocol::error_response(id, kind, &detail);
         }
-        Request::Predict(w) | Request::Analyze(w) if !tenant_admits(&t, &w.nf) => {
-            s.count_error(&t);
-            protocol::error_response(
-                id,
-                ErrorKind::UnknownNf,
-                &format!(
-                    "`{}` is not in tenant `{}`'s registered NF set",
-                    w.nf, t.name
-                ),
-            )
-        }
-        Request::Predict(w) | Request::Analyze(w) if s.backend_of(&w).is_none() => {
-            s.count_error(&t);
-            let loaded: Vec<&str> = s.backends.iter().map(|b| b.name()).collect();
-            protocol::error_response(
-                id,
-                ErrorKind::UnknownBackend,
-                &format!(
-                    "`{}` is not a warm backend (loaded: {})",
-                    w.backend.as_deref().unwrap_or("?"),
-                    loaded.join(", ")
-                ),
-            )
-        }
-        Request::Place(r) if r.nfs.iter().any(|nf| !s.corpus.contains_key(nf)) => {
-            s.count_error(&t);
-            let unknown = r
-                .nfs
-                .iter()
-                .find(|nf| !s.corpus.contains_key(*nf))
-                .expect("guard found one");
-            protocol::error_response(
-                id,
-                ErrorKind::UnknownNf,
-                &format!("`{unknown}` is not in the corpus (see `clara list`)"),
-            )
-        }
-        Request::Place(r) if r.nfs.iter().any(|nf| !tenant_admits(&t, nf)) => {
-            s.count_error(&t);
-            let outside = r
-                .nfs
-                .iter()
-                .find(|nf| !tenant_admits(&t, nf))
-                .expect("guard found one");
-            protocol::error_response(
-                id,
-                ErrorKind::UnknownNf,
-                &format!(
-                    "`{outside}` is not in tenant `{}`'s registered NF set",
-                    t.name
-                ),
-            )
-        }
-        Request::Place(r)
-            if r.backend
-                .as_deref()
-                .is_some_and(|n| !s.backends.iter().any(|b| b.name() == n)) =>
-        {
-            s.count_error(&t);
-            let loaded: Vec<&str> = s.backends.iter().map(|b| b.name()).collect();
-            protocol::error_response(
-                id,
-                ErrorKind::UnknownBackend,
-                &format!(
-                    "`{}` is not a warm backend (loaded: {})",
-                    r.backend.as_deref().unwrap_or("?"),
-                    loaded.join(", ")
-                ),
-            )
-        }
-        Request::Predict(w) => {
-            let key = s.predict_key(&w);
+    };
+    let kind = match (req, module) {
+        (Request::Predict(spec), Some(module)) => {
+            let key = (
+                spec.nf.clone(),
+                spec.packets,
+                spec.seed,
+                spec.small_flows,
+                route.backend.name(),
+                route.precision,
+            );
             let hit = s
                 .predict_cache
                 .read()
                 .expect("predict cache lock")
                 .get(&key)
                 .cloned();
-            match hit {
-                Some(p) => answer_hit(id, &t, &key, &p, s),
-                None => enqueue_and_wait(id, t, JobKind::Predict(w), s),
+            if let Some(p) = hit {
+                return answer_hit(id, &t, &key, &p, s);
             }
+            JobKind::Predict { spec, module, key }
         }
-        Request::Analyze(w) => enqueue_and_wait(id, t, JobKind::Analyze(w), s),
-        Request::Difftest { seeds, start, pkts } => {
-            enqueue_and_wait(id, t, JobKind::Difftest { seeds, start, pkts }, s)
-        }
-        Request::Place(r) => enqueue_and_wait(id, t, JobKind::Place(r), s),
-        Request::Register(_) | Request::Stats | Request::Drain => {
-            unreachable!("inline ops handled before dispatch_work")
-        }
-    }
+        (Request::Analyze(spec), Some(module)) => JobKind::Analyze { spec, module },
+        (Request::Place(r), _) => JobKind::Place(r),
+        (Request::Difftest { seeds, start, pkts }, _) => JobKind::Difftest { seeds, start, pkts },
+        // Inline ops are answered before dispatch_work, and admission
+        // returns the module of the NF a predict or analyze names.
+        _ => unreachable!("inline op, or a predict/analyze admitted without its module"),
+    };
+    enqueue_and_wait(id, t, route, kind, s)
 }
 
 /// The refusal every work request gets once drain has begun. A
@@ -933,6 +929,7 @@ fn answer_hit(id: Option<u64>, t: &Tenant, key: &PredictKey, p: &Prediction, s: 
 fn enqueue_and_wait(
     id: Option<u64>,
     tenant: Arc<Tenant>,
+    route: Route,
     kind: JobKind,
     s: &Arc<Shared>,
 ) -> String {
@@ -960,15 +957,8 @@ fn enqueue_and_wait(
                 &format!("queue at capacity ({})", s.opts.queue_cap),
             );
         }
-        let tq = qs
-            .queues
-            .entry(tenant.name.clone())
-            .or_insert_with(|| TenantQueue {
-                tenant: Arc::clone(&tenant),
-                jobs: VecDeque::new(),
-                deficit: 0,
-            });
-        if tq.jobs.len() >= tenant.quota {
+        let queued = qs.queues.get(&tenant.name).map_or(0, VecDeque::len);
+        if queued >= tenant.quota {
             drop(qs);
             s.quota_exceeded.fetch_add(1, Ordering::SeqCst);
             tenant.stats.quota_exceeded.fetch_add(1, Ordering::SeqCst);
@@ -982,21 +972,14 @@ fn enqueue_and_wait(
                 ),
             );
         }
-        let was_empty = tq.jobs.is_empty();
-        // Refresh the queue's view of the tenant so a re-registration's
-        // new quota/defaults apply from the next admission on.
-        tq.tenant = Arc::clone(&tenant);
-        tq.jobs.push_back(Job {
+        qs.push(Job {
             id,
-            tenant: Arc::clone(&tenant),
+            tenant,
+            route,
             kind,
             enqueued: Instant::now(),
             resp: tx,
         });
-        qs.total += 1;
-        if was_empty {
-            qs.ring.push_back(tenant.name.clone());
-        }
         s.queue_gauge(qs.total);
     }
     // notify_all, not notify_one: with sharded workers the one woken
@@ -1041,19 +1024,9 @@ fn register_inline(
             &format!("`{unknown}` is not in the corpus (see `clara list`)"),
         );
     }
-    if let Some(b) = &spec.backend {
-        if !s.backends.iter().any(|w| w.name() == b.as_str()) {
-            s.count_error(&s.charge_tenant(Some(name)));
-            let loaded: Vec<&str> = s.backends.iter().map(|w| w.name()).collect();
-            return protocol::error_response(
-                id,
-                ErrorKind::UnknownBackend,
-                &format!(
-                    "`{b}` is not a warm backend (loaded: {})",
-                    loaded.join(", ")
-                ),
-            );
-        }
+    if let Some(Err((kind, detail))) = spec.backend.as_deref().map(|b| s.warm_backend(b)) {
+        s.count_error(&s.charge_tenant(Some(name)));
+        return protocol::error_response(id, kind, &detail);
     }
     let cap = s.opts.queue_cap as u64;
     let quota = spec.quota.unwrap_or(cap).clamp(1, cap) as usize;
@@ -1093,7 +1066,7 @@ fn stats_inline(id: Option<u64>, s: &Arc<Shared>) -> String {
         let queued: BTreeMap<String, u64> = qs
             .queues
             .iter()
-            .map(|(name, tq)| (name.clone(), tq.jobs.len() as u64))
+            .map(|(name, jobs)| (name.clone(), jobs.len() as u64))
             .collect();
         (qs.total, qs.draining, queued)
     };
@@ -1174,10 +1147,6 @@ fn stats_inline(id: Option<u64>, s: &Arc<Shared>) -> String {
             Value::UInt(s.opts.queue_cap as u64),
         ),
         (
-            "batch_max".to_string(),
-            Value::UInt(s.opts.batch_max as u64),
-        ),
-        (
             "precision".to_string(),
             Value::Str(s.opts.precision.as_str().to_string()),
         ),
@@ -1221,71 +1190,12 @@ fn drain_inline(id: Option<u64>, s: &Arc<Shared>) -> String {
 
 // ---- workers -----------------------------------------------------------
 
-/// One deficit-round-robin visit for the given worker: scan the ring
-/// for the first tenant on this worker's shard, grant it a quantum of
-/// credit, and take one coalescible batch from its sub-queue. `None`
-/// when no ring tenant belongs to this shard.
-fn pop_batch(
-    qs: &mut MutexGuard<'_, QueueState>,
-    worker: usize,
-    s: &Arc<Shared>,
-) -> Option<Vec<Job>> {
-    // Live shard layout: grows as tenants register (capped at the
-    // worker count), so a lone tenant is served by every worker while a
-    // full fleet gets disjoint worker groups.
-    let shard_count = s.registry.shard_count();
-    let my_shard = worker % shard_count;
-    let quantum = s.opts.batch_max.max(1) as u64;
-    let pos = (0..qs.ring.len()).find(|&i| {
-        let name = &qs.ring[i];
-        qs.queues
-            .get(name)
-            .is_some_and(|tq| tq.tenant.shard % shard_count == my_shard)
-    })?;
-    let name = qs.ring.remove(pos).expect("index in bounds");
-    let tq = qs.queues.get_mut(&name).expect("ring names a live queue");
-    // Unused credit carries to the next visit (bounded to one extra
-    // quantum) so a tenant whose batch was cut short by a backend
-    // boundary is not perpetually shortchanged.
-    tq.deficit = (tq.deficit + quantum).min(2 * quantum);
-    let mut batch = vec![tq.jobs.pop_front().expect("ring tenants have jobs")];
-    // Only predicts routed to the *same* device at the *same* precision
-    // coalesce — one batch, one backend, one inference path, one engine
-    // stage. Coalescing never crosses tenant sub-queues.
-    if let JobKind::Predict(w0) = &batch[0].kind {
-        let backend = s.effective_backend(w0).to_string();
-        let precision = s.effective_precision(w0);
-        while (batch.len() as u64) < tq.deficit && batch.len() < s.opts.batch_max.max(1) {
-            match tq.jobs.front() {
-                Some(j)
-                    if matches!(
-                        &j.kind,
-                        JobKind::Predict(w) if s.effective_backend(w) == backend
-                            && s.effective_precision(w) == precision
-                    ) =>
-                {
-                    batch.push(tq.jobs.pop_front().expect("front exists"));
-                }
-                _ => break,
-            }
-        }
-    }
-    tq.deficit = tq.deficit.saturating_sub(batch.len() as u64);
-    if tq.jobs.is_empty() {
-        tq.deficit = 0;
-    } else {
-        qs.ring.push_back(name);
-    }
-    qs.total -= batch.len();
-    Some(batch)
-}
-
 fn worker_loop(s: &Arc<Shared>, worker: usize) {
     engine::set_stage_deadline(s.opts.deadline);
     loop {
-        let batch = {
+        let job = {
             let mut qs = s.queue.lock().expect("queue poisoned");
-            let batch = loop {
+            let job = loop {
                 // The drain flag lives under this lock, so a worker can
                 // only exit when no admitted job remains anywhere — the
                 // admission path holding the same lock makes
@@ -1293,191 +1203,132 @@ fn worker_loop(s: &Arc<Shared>, worker: usize) {
                 if qs.draining && qs.total == 0 {
                     return;
                 }
-                if let Some(batch) = pop_batch(&mut qs, worker, s) {
-                    break batch;
+                // Live shard layout: grows as tenants register (capped at
+                // the worker count), so a lone tenant is served by every
+                // worker while a full fleet gets disjoint worker groups.
+                if let Some(job) = qs.pop(worker, s.registry.shard_count()) {
+                    break job;
                 }
                 qs =
                     s.cv.wait_timeout(qs, Duration::from_millis(50))
                         .expect("queue poisoned")
                         .0;
             };
-            s.in_flight.fetch_add(batch.len(), Ordering::SeqCst);
+            s.in_flight.fetch_add(1, Ordering::SeqCst);
             s.queue_gauge(qs.total);
-            batch
+            job
         };
-        run_batch(batch, s);
+        run_job(job, s);
         s.cv.notify_all();
     }
 }
 
-/// Splits expired jobs out, answers them with `deadline`, and returns
-/// the still-live remainder.
-fn reap_expired(batch: Vec<Job>, s: &Arc<Shared>) -> Vec<Job> {
-    let Some(deadline) = s.opts.deadline else {
-        return batch;
+/// Runs one job and sends its reply, counting it as served or failed
+/// against the server and its tenant. A job that outlived the deadline
+/// while queued is answered `deadline` without running.
+fn run_job(job: Job, s: &Shared) {
+    let outcome = match s.opts.deadline {
+        Some(deadline) if job.enqueued.elapsed() > deadline => Err((
+            ErrorKind::Deadline,
+            format!("request exceeded its {deadline:?} budget while queued"),
+        )),
+        _ => execute(&job, s),
     };
-    let mut live = Vec::with_capacity(batch.len());
-    for job in batch {
-        if job.enqueued.elapsed() > deadline {
+    let reply = match outcome {
+        Ok(reply) => {
+            s.served.fetch_add(1, Ordering::SeqCst);
+            job.tenant.stats.served.fetch_add(1, Ordering::SeqCst);
+            reply
+        }
+        Err((kind, detail)) => {
             s.count_error(&job.tenant);
-            let _ = job.resp.send(protocol::error_response(
-                job.id,
-                ErrorKind::Deadline,
-                &format!("request exceeded its {deadline:?} budget while queued"),
-            ));
-            s.in_flight.fetch_sub(1, Ordering::SeqCst);
-        } else {
-            live.push(job);
+            protocol::error_response(job.id, kind, &detail)
         }
-    }
-    live
-}
-
-fn run_batch(batch: Vec<Job>, s: &Arc<Shared>) {
-    let batch = reap_expired(batch, s);
-    if batch.is_empty() {
-        return;
-    }
-    let n = batch.len();
-    s.meters.batch_size.observe(n as f64);
-    if n > 1 || matches!(batch[0].kind, JobKind::Predict(_)) {
-        run_predict_batch(batch, s);
-    } else {
-        let job = batch.into_iter().next().expect("checked non-empty");
-        run_single(job, s);
-        s.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Runs a batch of predicts, every one a prediction-cache miss (hits are
-/// answered on the connection thread and never queued), and caches what
-/// it computes.
-fn run_predict_batch(batch: Vec<Job>, s: &Arc<Shared>) {
-    let n = batch.len();
-    s.meters.predict_ops.add(n as u64);
-    s.meters.predict_misses.add(n as u64);
-    let specs: Vec<&WorkSpec> = batch
-        .iter()
-        .map(|j| match &j.kind {
-            JobKind::Predict(w) => w,
-            _ => unreachable!("predict batches contain only predict jobs"),
-        })
-        .collect();
-    // Coalescing admits only same-backend, same-precision predicts, so
-    // the whole batch routes to the first spec's device and path.
-    let backend = s.backend_of(specs[0]).expect("validated at admission");
-    let precision = s.effective_precision(specs[0]);
-    let traces: Vec<_> = specs.iter().map(|w| w.trace()).collect();
-    let items: Vec<(&Module, &trafgen::Trace)> = specs
-        .iter()
-        .zip(&traces)
-        .map(|(w, t)| (s.corpus.get(&w.nf).expect("validated at admission"), t))
-        .collect();
-    let results = {
-        let span = obs::span_under(s.root, "serve-predict-batch");
-        let _ctx = obs::attach(span.handle());
-        s.clara
-            .predict_batch_on_prec_cached(&items, backend, precision, s.predictor_fp)
     };
-    {
-        let mut cache = s.predict_cache.write().expect("predict cache lock");
-        for (w, result) in specs.iter().zip(&results) {
-            if let Ok(p) = result {
-                if cache.len() < PREDICT_CACHE_CAP {
-                    cache.insert(s.predict_key(w), p.clone());
-                }
-            }
-        }
-    }
-    for ((job, spec), result) in batch.iter().zip(&specs).zip(results) {
-        let response = match result {
-            Ok(p) => {
-                s.served.fetch_add(1, Ordering::SeqCst);
-                job.tenant.stats.served.fetch_add(1, Ordering::SeqCst);
-                protocol::predict_response(job.id, &spec.nf, backend.name(), precision, &p)
-            }
-            Err(e) => {
-                s.count_error(&job.tenant);
-                protocol::error_response(job.id, ErrorKind::Internal, &e.to_string())
-            }
-        };
-        let _ = job.resp.send(response);
-    }
-    s.in_flight.fetch_sub(n, Ordering::SeqCst);
+    let _ = job.resp.send(reply);
+    s.in_flight.fetch_sub(1, Ordering::SeqCst);
 }
 
-fn run_single(job: Job, s: &Arc<Shared>) {
-    let response = match &job.kind {
-        JobKind::Predict(_) => unreachable!("predict jobs go through the batch path"),
-        JobKind::Analyze(w) => {
+/// Computes a job's answer on its route and renders the reply. A
+/// predict (always a cache miss: hits never queue) caches what it
+/// computes.
+fn execute(job: &Job, s: &Shared) -> Result<String, Failure> {
+    let Route { backend, precision } = job.route;
+    let internal = |e: ClaraError| (ErrorKind::Internal, e.to_string());
+    match &job.kind {
+        JobKind::Predict { spec, module, key } => {
+            s.meters.predict_ops.incr();
+            s.meters.predict_misses.incr();
+            let trace = spec.trace();
+            // A one-item batch: the span and the engine's `predict-batch`
+            // stage keep their names, so drain reports do not change.
+            let result = {
+                let span = obs::span_under(s.root, "serve-predict-batch");
+                let _ctx = obs::attach(span.handle());
+                s.clara
+                    .predict_batch_on_prec_cached(
+                        &[(*module, &trace)],
+                        backend,
+                        precision,
+                        s.predictor_fp,
+                    )
+                    .pop()
+                    .expect("one result per item")
+            };
+            let p = result.map_err(internal)?;
+            let mut cache = s.predict_cache.write().expect("predict cache lock");
+            if cache.len() < PREDICT_CACHE_CAP {
+                cache.insert(key.clone(), p.clone());
+            }
+            drop(cache);
+            Ok(protocol::predict_response(
+                job.id,
+                &spec.nf,
+                backend.name(),
+                precision,
+                &p,
+            ))
+        }
+        JobKind::Analyze { spec, module } => {
             obs::counter("serve.ops.analyze").incr();
-            let module = s.corpus.get(&w.nf).expect("validated at admission");
-            let backend = s.backend_of(w).expect("validated at admission");
-            let precision = s.effective_precision(w);
-            let trace = w.trace();
-            let outcome = {
+            let trace = spec.trace();
+            let ins = {
                 let span = obs::span_under(s.root, "serve-analyze");
                 let _ctx = obs::attach(span.handle());
                 s.clara.analyze_on_prec(module, &trace, backend, precision)
-            };
-            match outcome {
-                Ok(ins) => {
-                    s.served.fetch_add(1, Ordering::SeqCst);
-                    job.tenant.stats.served.fetch_add(1, Ordering::SeqCst);
-                    protocol::analyze_response(
-                        job.id,
-                        &w.nf,
-                        backend.name(),
-                        precision,
-                        module,
-                        &ins,
-                    )
-                }
-                Err(e) => {
-                    s.count_error(&job.tenant);
-                    protocol::error_response(job.id, ErrorKind::Internal, &e.to_string())
-                }
             }
+            .map_err(internal)?;
+            Ok(protocol::analyze_response(
+                job.id,
+                &spec.nf,
+                backend.name(),
+                precision,
+                module,
+                &ins,
+            ))
         }
         JobKind::Place(r) => {
             obs::counter("serve.ops.place").incr();
-            let backend = match &r.backend {
-                None => s.backends[0],
-                Some(name) => s
-                    .backends
-                    .iter()
-                    .copied()
-                    .find(|b| b.name() == name.as_str())
-                    .expect("validated at admission"),
-            };
-            let precision = r.precision.unwrap_or(s.opts.precision);
-            let outcome = {
+            let plan = {
                 let span = obs::span_under(s.root, "serve-place");
                 let _ctx = obs::attach(span.handle());
                 s.clara.place_on_prec(r, backend, precision)
-            };
-            match outcome {
-                Ok(plan) => {
-                    s.served.fetch_add(1, Ordering::SeqCst);
-                    job.tenant.stats.served.fetch_add(1, Ordering::SeqCst);
-                    protocol::place_response(job.id, &plan)
-                }
-                Err(e) => {
-                    s.count_error(&job.tenant);
-                    let kind = match &e {
-                        ClaraError::Placement {
-                            kind: PlacementFailure::Infeasible,
-                            ..
-                        } => ErrorKind::Infeasible,
-                        ClaraError::Placement {
-                            kind: PlacementFailure::UnknownNf,
-                            ..
-                        } => ErrorKind::UnknownNf,
-                        _ => ErrorKind::Internal,
-                    };
-                    protocol::error_response(job.id, kind, &e.to_string())
-                }
             }
+            .map_err(|e| {
+                let kind = match &e {
+                    ClaraError::Placement {
+                        kind: PlacementFailure::Infeasible,
+                        ..
+                    } => ErrorKind::Infeasible,
+                    ClaraError::Placement {
+                        kind: PlacementFailure::UnknownNf,
+                        ..
+                    } => ErrorKind::UnknownNf,
+                    _ => ErrorKind::Internal,
+                };
+                (kind, e.to_string())
+            })?;
+            Ok(protocol::place_response(job.id, &plan))
         }
         JobKind::Difftest { seeds, start, pkts } => {
             obs::counter("serve.ops.difftest").incr();
@@ -1490,30 +1341,20 @@ fn run_single(job: Job, s: &Arc<Shared>) {
                 inject: None,
                 ..DifftestConfig::default()
             };
-            let outcome = {
+            let report = {
                 let span = obs::span_under(s.root, "serve-difftest");
                 let _ctx = obs::attach(span.handle());
                 difftest::run(&cfg)
-            };
-            match outcome {
-                Ok(report) => {
-                    s.served.fetch_add(1, Ordering::SeqCst);
-                    job.tenant.stats.served.fetch_add(1, Ordering::SeqCst);
-                    protocol::difftest_response(
-                        job.id,
-                        report.checked as u64,
-                        report.divergent.len() as u64,
-                        report.engine_failures as u64,
-                    )
-                }
-                Err(e) => {
-                    s.count_error(&job.tenant);
-                    protocol::error_response(job.id, ErrorKind::Internal, &e.to_string())
-                }
             }
+            .map_err(internal)?;
+            Ok(protocol::difftest_response(
+                job.id,
+                report.checked as u64,
+                report.divergent.len() as u64,
+                report.engine_failures as u64,
+            ))
         }
-    };
-    let _ = job.resp.send(response);
+    }
 }
 
 // ---- SIGTERM -----------------------------------------------------------
@@ -1563,6 +1404,79 @@ pub fn install_sigterm_drain() {
 mod tests {
     use super::*;
     use std::io::Read;
+
+    /// A queued difftest job for `tenant`, tagged with `id`.
+    fn job(tenant: &Arc<Tenant>, id: u64) -> Job {
+        Job {
+            id: Some(id),
+            tenant: Arc::clone(tenant),
+            route: Route {
+                backend: clara_hal::default_backend(),
+                precision: Precision::F64,
+            },
+            kind: JobKind::Difftest {
+                seeds: 1,
+                start: 0,
+                pkts: 1,
+            },
+            enqueued: Instant::now(),
+            resp: mpsc::channel().0,
+        }
+    }
+
+    fn empty_queue() -> QueueState {
+        QueueState {
+            queues: BTreeMap::new(),
+            ring: VecDeque::new(),
+            total: 0,
+            draining: false,
+        }
+    }
+
+    /// Pops until `worker` finds nothing: (tenant, job id) in pop order.
+    fn drain_order(qs: &mut QueueState, worker: usize, shards: usize) -> Vec<(String, u64)> {
+        std::iter::from_fn(|| qs.pop(worker, shards))
+            .map(|j| (j.tenant.name.clone(), j.id.unwrap_or(0)))
+            .collect()
+    }
+
+    #[test]
+    fn one_worker_takes_one_job_per_tenant_visit() {
+        let reg = Registry::new(1, 8);
+        let a = reg.register("a", vec![], None, None, 8, None);
+        let b = reg.register("b", vec![], None, None, 8, None);
+        let mut qs = empty_queue();
+        for (t, id) in [(&a, 1), (&a, 2), (&a, 3), (&b, 4)] {
+            qs.push(job(t, id));
+        }
+        let order = drain_order(&mut qs, 0, reg.shard_count());
+        let want = [("a", 1), ("b", 4), ("a", 2), ("a", 3)].map(|(t, id)| (t.to_string(), id));
+        assert_eq!(order, want);
+        assert_eq!(qs.total, 0);
+        assert!(qs.ring.is_empty());
+    }
+
+    #[test]
+    fn a_worker_pops_only_its_own_shard() {
+        let reg = Registry::new(2, 8);
+        let zero = reg.default_tenant();
+        let one = reg.register("one", vec![], None, None, 8, None);
+        assert_eq!((zero.shard, one.shard, reg.shard_count()), (0, 1, 2));
+        let mut qs = empty_queue();
+        qs.push(job(&one, 1));
+        assert!(
+            qs.pop(0, 2).is_none(),
+            "worker 0 must not pop the only job, on shard 1"
+        );
+        qs.push(job(&zero, 2));
+        qs.push(job(&one, 3));
+        assert_eq!(drain_order(&mut qs, 0, 2), [("default".to_string(), 2)]);
+        assert_eq!(
+            drain_order(&mut qs, 1, 2),
+            [("one".to_string(), 1), ("one".to_string(), 3)]
+        );
+        assert_eq!(qs.total, 0);
+    }
 
     #[test]
     fn a_connection_whose_thread_cannot_spawn_is_closed() {

@@ -90,6 +90,16 @@ impl WorkloadSpec {
         }
     }
 
+    /// The workload a query that names only its flow size profiles:
+    /// small flows scaled to 8,192 concurrent flows, else large flows.
+    pub fn by_flow_size(small_flows: bool) -> WorkloadSpec {
+        if small_flows {
+            WorkloadSpec::small_flows().with_flows(8192)
+        } else {
+            WorkloadSpec::large_flows()
+        }
+    }
+
     /// Minimum-size line-rate stress profile (64-byte packets).
     pub fn min_size() -> WorkloadSpec {
         WorkloadSpec {
@@ -170,6 +180,18 @@ mod tests {
         assert_eq!(w.flows, 7);
         assert_eq!(w.pkt_size, PktSizeDist::Fixed(99));
         assert_eq!(w.rate_mpps, 1.5);
+    }
+
+    #[test]
+    fn flow_size_picks_small_or_large_flows() {
+        assert_eq!(
+            WorkloadSpec::by_flow_size(true),
+            WorkloadSpec::small_flows().with_flows(8192)
+        );
+        assert_eq!(
+            WorkloadSpec::by_flow_size(false),
+            WorkloadSpec::large_flows()
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Corpus smoke test (CI job `corpus-smoke`): the stateful-NF corpus and
+# Corpus smoke test (run by scripts/ci.sh): the stateful-NF corpus and
 # the accelerator-variant catalog at the CLI — `clara corpus` must emit
 # valid JSON with every flow-table NF classified as flow-state and the
 # expected catalog hits, and `clara backends` must list each manifest's

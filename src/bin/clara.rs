@@ -18,7 +18,7 @@
 //! $ clara place firewall,nat           # traffic-aware placement plan
 //! $ clara place nat --replay shift --epochs 6   # drift-driven re-planning
 //! $ clara quantcheck                   # q16-vs-f64 tolerance oracle
-//! $ clara serve --addr 127.0.0.1:4117  # batched NF-analysis daemon
+//! $ clara serve --addr 127.0.0.1:4117  # resident NF-analysis daemon
 //! ```
 
 use clara_repro::clara::{Clara, ClaraConfig, ClaraError, Precision};
@@ -66,9 +66,9 @@ fn usage() -> ! {
          --require-speedup X  --artifacts DIR"
     );
     eprintln!(
-        "  serve: --addr HOST:PORT  --transport tcp|uds|both  --uds PATH  --workers N  \
-         --queue-cap N  --batch-max N  --deadline-ms N  --model FILE  --seed N  \
-         --backends all|A,B,...  --precision f64|q16"
+        "  serve: --addr HOST:PORT  --uds PATH  --workers N  --queue-cap N  \
+         --deadline-ms N  --model FILE  --seed N  --backends all|A,B,...  \
+         --precision f64|q16"
     );
     eprintln!(
         "  environment: CLARA_THREADS=N  CLARA_CACHE_DIR=DIR  \
@@ -172,12 +172,11 @@ fn parse_precision(arg: Option<&String>) -> Precision {
 }
 
 fn trace_of(o: &Opts) -> Trace {
-    let spec = if o.small_flows {
-        WorkloadSpec::small_flows().with_flows(8192)
-    } else {
-        WorkloadSpec::large_flows()
-    };
-    Trace::generate(&spec, o.packets, o.seed)
+    Trace::generate(
+        &WorkloadSpec::by_flow_size(o.small_flows),
+        o.packets,
+        o.seed,
+    )
 }
 
 fn main() {
@@ -529,18 +528,18 @@ fn analyze_all_backends(clara: &Clara, e: &NfElement, trace: &Trace) -> Result<(
     Ok(())
 }
 
-/// `clara serve`: the batched, backpressured NF-analysis daemon.
+/// `clara serve`: the resident, backpressured NF-analysis daemon.
 ///
-/// Loads (or trains) the model once, binds the address, and serves the
-/// versioned JSON-lines protocol until a `drain` request or SIGTERM
-/// gracefully shuts it down. Bind failures exit 7.
+/// Loads (or trains) the model once, binds the address (and the Unix
+/// socket `--uds` names), and serves the versioned protocol until a
+/// `drain` request or SIGTERM gracefully shuts it down. Bind failures
+/// exit 7.
 fn serve_cmd(args: &[String]) -> Result<(), ClaraError> {
     use serve::ServeOptions;
 
     let mut so = ServeOptions::default();
     let mut model: Option<String> = None;
     let mut seed = 42u64;
-    let mut want_uds = false;
     let mut it = args.iter();
     let num = |it: &mut std::slice::Iter<String>| -> u64 {
         it.next()
@@ -550,18 +549,9 @@ fn serve_cmd(args: &[String]) -> Result<(), ClaraError> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => so.addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--transport" => match it.next().map(String::as_str) {
-                Some("tcp") => want_uds = false,
-                Some("uds" | "both") => want_uds = true,
-                _ => usage(),
-            },
-            "--uds" => {
-                so.uds_path = it.next().cloned().or_else(|| usage());
-                want_uds = true;
-            }
+            "--uds" => so.uds_path = it.next().cloned().or_else(|| usage()),
             "--workers" => so.workers = num(&mut it) as usize,
             "--queue-cap" => so.queue_cap = num(&mut it) as usize,
-            "--batch-max" => so.batch_max = num(&mut it) as usize,
             "--deadline-ms" => so.deadline = Some(std::time::Duration::from_millis(num(&mut it))),
             "--model" => model = it.next().cloned().or_else(|| usage()),
             "--seed" => seed = num(&mut it),
@@ -571,11 +561,6 @@ fn serve_cmd(args: &[String]) -> Result<(), ClaraError> {
             "--precision" => so.precision = parse_precision(it.next()),
             _ => usage(),
         }
-    }
-    if want_uds && so.uds_path.is_none() {
-        so.uds_path = Some("/tmp/clara-serve.sock".to_string());
-    } else if !want_uds {
-        so.uds_path = None;
     }
     let clara = std::sync::Arc::new(load_or_train(&model, seed)?);
     serve::server::install_sigterm_drain();

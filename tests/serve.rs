@@ -1,7 +1,7 @@
 //! The serving layer, end to end over real sockets.
 //!
-//! ISSUE acceptance: (a) responses served through the daemon's queue,
-//! batching, and worker pool are byte-identical to the equivalent
+//! What this pins: (a) responses served through the daemon's queue
+//! and worker pool are byte-identical to the equivalent
 //! one-shot facade calls; (b) an over-capacity burst yields typed
 //! `overloaded` rejections while admitted requests still succeed;
 //! (c) a repeated identical request is served entirely from warm
@@ -46,23 +46,17 @@ fn clara() -> Arc<Clara> {
         .clone()
 }
 
-fn start(workers: usize, queue_cap: usize, batch_max: usize) -> ServerHandle {
-    start_with_backends(workers, queue_cap, batch_max, Vec::new())
+fn start(workers: usize, queue_cap: usize) -> ServerHandle {
+    start_with_backends(workers, queue_cap, Vec::new())
 }
 
-fn start_with_backends(
-    workers: usize,
-    queue_cap: usize,
-    batch_max: usize,
-    backends: Vec<String>,
-) -> ServerHandle {
+fn start_with_backends(workers: usize, queue_cap: usize, backends: Vec<String>) -> ServerHandle {
     Server::start(
         ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             uds_path: None,
             workers,
             queue_cap,
-            batch_max,
             deadline: None,
             backends,
             precision: Precision::F64,
@@ -153,17 +147,17 @@ fn stat_u64(resp: &str, key: &str) -> u64 {
     }
 }
 
-/// (a) Concurrent clients through queue + micro-batching get responses
+/// (a) Concurrent clients through the queue and worker pool get responses
 /// byte-identical to one-shot facade calls.
 #[test]
 fn concurrent_requests_match_one_shot_facade() {
     let _g = serve_lock();
     let clara = clara();
-    let handle = start(3, 64, 4);
+    let handle = start(3, 64);
     let addr = handle.addr();
 
     // (nf, packets, seed, analyze?) — distinct NFs and seeds so the mix
-    // exercises both the batched predict path and the single analyze path.
+    // exercises both the predict path and the analyze path.
     let cases = [
         ("tcpack", 80, 1, false),
         ("udpipencap", 90, 2, false),
@@ -267,7 +261,7 @@ fn concurrent_requests_match_one_shot_facade() {
 #[test]
 fn over_capacity_burst_yields_typed_overloaded() {
     let _g = serve_lock();
-    let handle = start(1, 1, 1);
+    let handle = start(1, 1);
     let addr = handle.addr();
     let n = 10;
     let barrier = Arc::new(Barrier::new(n));
@@ -329,7 +323,7 @@ fn over_capacity_burst_yields_typed_overloaded() {
 #[test]
 fn repeated_request_is_served_from_warm_caches() {
     let _g = serve_lock();
-    let handle = start(2, 16, 4);
+    let handle = start(2, 16);
     let mut conn = Conn::open(handle.addr());
     // A (nf, seed) pair no other test uses, so the first request is
     // genuinely cold even though the binary shares process caches.
@@ -387,7 +381,6 @@ fn per_request_backend_routing() {
     let handle = start_with_backends(
         2,
         32,
-        4,
         vec!["agilio-cx".to_string(), "dpu-offpath".to_string()],
     );
     let addr = handle.addr();
@@ -508,7 +501,7 @@ fn per_request_backend_routing() {
 fn per_request_precision_routing() {
     let _g = serve_lock();
     let clara = clara();
-    let handle = start(2, 32, 4);
+    let handle = start(2, 32);
     let addr = handle.addr();
 
     let module = module_of("heavy_hitter");
@@ -604,7 +597,7 @@ fn per_request_precision_routing() {
 fn place_requests_route_replan_and_land_in_the_drain_report() {
     let _g = serve_lock();
     let clara = clara();
-    let handle = start(2, 16, 4);
+    let handle = start(2, 16);
     let addr = handle.addr();
     let mut conn = Conn::open(addr);
 
@@ -690,7 +683,7 @@ fn place_requests_route_replan_and_land_in_the_drain_report() {
 #[test]
 fn drain_completes_with_deterministic_report() {
     let _g = serve_lock();
-    let handle = start(2, 16, 4);
+    let handle = start(2, 16);
     let mut conn = Conn::open(handle.addr());
 
     for i in 0..3 {
@@ -778,7 +771,7 @@ fn p95_us(mut lat: Vec<u64>) -> u64 {
 fn registered_tenants_are_scoped_and_stats_pin_key_order() {
     let _g = serve_lock();
     let clara = clara();
-    let handle = start(2, 8, 4);
+    let handle = start(2, 8);
     let mut conn = Conn::open(handle.addr());
 
     // Register two tenants with disjoint NF sets. The response echoes
@@ -914,7 +907,6 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
         "workers",
         "shards",
         "queue_cap",
-        "batch_max",
         "precision",
         "backends",
         "tenants",
@@ -934,6 +926,10 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
             .unwrap_or_else(|| panic!("stats must carry `{key}` after byte {at}: {stats}"));
         at += pos + needle.len();
     }
+    assert!(
+        !stats.contains("\"batch_max\":"),
+        "stats no longer carries `batch_max`: {stats}"
+    );
     let tenants_at = stats.find("\"tenants\":").expect("tenants section");
     let mut at = tenants_at;
     for key in [
@@ -994,7 +990,7 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
 #[test]
 fn bursting_tenant_is_quota_limited_while_victim_keeps_latency() {
     let _g = serve_lock();
-    let handle = start(2, 16, 4);
+    let handle = start(2, 16);
     let addr = handle.addr();
     let mut victim = Conn::open(addr);
 
@@ -1171,7 +1167,7 @@ fn bursting_tenant_is_quota_limited_while_victim_keeps_latency() {
 fn drain_racing_concurrent_enqueuers_always_terminates() {
     let _g = serve_lock();
     for round in 0..50u64 {
-        let handle = start(2, 8, 2);
+        let handle = start(2, 8);
         let addr = handle.addr();
         let barrier = Arc::new(Barrier::new(5));
         std::thread::scope(|scope| {
@@ -1239,7 +1235,6 @@ fn uds_frames_serve_bytes_identical_to_tcp_lines() {
             uds_path: Some(sock.to_string_lossy().into_owned()),
             workers: 2,
             queue_cap: 16,
-            batch_max: 4,
             deadline: None,
             backends: Vec::new(),
             precision: Precision::F64,
@@ -1310,7 +1305,7 @@ fn wait_for_stats(conn: &mut Conn, what: &str, done: impl Fn(&str) -> bool) {
 #[test]
 fn cache_hits_skip_a_full_queue_but_not_drain() {
     let _g = serve_lock();
-    let handle = start(1, 1, 1);
+    let handle = start(1, 1);
     let addr = handle.addr();
     let hits = clara_repro::obs::counter("serve.cache.predict_hits");
     let hits_before = hits.value();
@@ -1408,7 +1403,7 @@ fn over_long_tcp_line_is_refused_and_the_connection_closed() {
     use clara_repro::serve::transport::MAX_REQUEST_LEN;
 
     let _g = serve_lock();
-    let handle = start(1, 4, 1);
+    let handle = start(1, 4);
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
@@ -1456,7 +1451,6 @@ fn over_long_uds_frame_is_refused_and_the_connection_closed() {
             uds_path: Some(sock.to_string_lossy().into_owned()),
             workers: 1,
             queue_cap: 4,
-            batch_max: 1,
             deadline: None,
             backends: Vec::new(),
             precision: Precision::F64,
@@ -1517,7 +1511,6 @@ fn deeply_nested_request_is_a_typed_bad_request_on_both_codecs() {
             uds_path: Some(sock.to_string_lossy().into_owned()),
             workers: 1,
             queue_cap: 4,
-            batch_max: 1,
             deadline: None,
             backends: Vec::new(),
             precision: Precision::F64,
@@ -1578,7 +1571,6 @@ fn zero_deadline_rejects_queued_work_and_ends_with_its_server() {
                 addr: "127.0.0.1:0".to_string(),
                 workers: 2,
                 queue_cap: 16,
-                batch_max: 4,
                 deadline,
                 ..ServeOptions::default()
             },

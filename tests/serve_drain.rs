@@ -5,7 +5,7 @@
 //! The daemon must finish writing that frame to a slow reader before it
 //! exits, and must still exit (within its bounded write timeout) when
 //! the client never reads at all. A daemon that cannot bind its address
-//! exits 7.
+//! exits 7, and one given a flag it does not take exits 2 (usage).
 
 #![cfg(unix)]
 
@@ -175,4 +175,20 @@ fn an_address_in_use_exits_seven() {
         .expect("a daemon that cannot bind exits instead of serving");
     assert_eq!(status.code(), Some(7), "bind failure on {addr}");
     drop(held);
+}
+
+#[test]
+fn flags_serve_does_not_take_exit_two() {
+    for flag in [["--batch-max", "8"], ["--transport", "both"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_clara"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(flag)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn clara serve");
+        let status = wait_exit(&mut child, Duration::from_secs(30))
+            .expect("a usage error exits instead of serving");
+        assert_eq!(status.code(), Some(2), "`clara serve {}`", flag.join(" "));
+    }
 }
